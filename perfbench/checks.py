@@ -1,9 +1,9 @@
 """Checked runs and the correctness checks applied to them.
 
 A checked run is one `engine.run` call with recording hooks. It keeps every
-probe round seen through `on_probe`, the occupancy after every step seen
-through `on_step`, and the logits of every forward made by
-`engine.decode_step`. The checks compare these with the batch forward
+probe round seen through `on_probe`, the live set each decode step attended
+to, the occupancy after every step seen through `on_step`, and the logits
+of every forward made by `engine.decode_step`. The checks compare these with the batch forward
 `TinyDecoder.reference_forward` and the oracles in `tests/reference.py`, or
 test properties the method must have. None of them compares against stored
 output.
@@ -76,6 +76,9 @@ class Observation:
     rounds: list[RoundObs] = field(default_factory=list)
     steps: list[StepObs] = field(default_factory=list)
     logits: dict[int, np.ndarray] = field(default_factory=dict)
+    # key_mask for TinyDecoder.reference_forward, (layers, heads, T, T): row q
+    # is the live set the forward at position q attended to
+    masks: np.ndarray | None = None
 
 
 class _Recorder:
@@ -91,6 +94,11 @@ class _Recorder:
         probed = bool(obs.rounds) and obs.rounds[-1].step is None
         if probed:
             obs.rounds[-1].step = step
+        # the step's forward saw the cache after its append and before its probe round
+        attended = obs.rounds[-1].pre if probed else state.live_sets()
+        position = len(obs.prompt) + step - 1
+        for (layer, head), live in attended.items():
+            obs.masks[layer, head, position, list(live)] = True
         row = StepObs(step, state.evicted_total, probed)
         if obs.max_slots is not None:
             p = len(obs.prompt)
@@ -114,12 +122,17 @@ def observe(model, wl: Workload, cell: Cell, prompt, config) -> Observation:
         max_slots=max_slots,
         probes_enabled=config.policy is not None and (wl.ratio is None or cell.policy == "ours"),
     )
-    recorder = _Recorder(obs, model.config.num_layers, model.config.num_heads)
+    cfg = model.config
+    size = len(prompt) + config.max_new_tokens
+    obs.masks = np.zeros((cfg.num_layers, cfg.num_heads, size, size), dtype=bool)
+    obs.masks[:, :, : len(prompt), : len(prompt)] = np.tril(np.ones((len(prompt),) * 2, dtype=bool))
+    recorder = _Recorder(obs, cfg.num_layers, cfg.num_heads)
     original = getattr(engine, "decode_step", None)
     if original is not None:
         def spy(state, model_, token_id, position, *args, **kwargs):
             out = original(state, model_, token_id, position, *args, **kwargs)
-            obs.logits.setdefault(position, np.array(out.logits, dtype=np.float64))
+            # probe forwards reach positions that a later decode step overwrites
+            obs.logits[position] = np.array(out.logits, dtype=np.float64)
             return out
         engine.decode_step = spy
     try:
@@ -134,40 +147,33 @@ def observe(model, wl: Workload, cell: Cell, prompt, config) -> Observation:
 # --- checks -----------------------------------------------------------------
 
 
-def clean_prefix(obs: Observation) -> int:
-    """Generated tokens decoded over the full causal cache.
-
-    Token s is sampled from logits computed before step s's own probe round
-    and before any eviction at step s + 1, so tokens up to and including the
-    first step with a probe round or an eviction see every earlier key.
-    """
-    for row in obs.steps:
-        if row.probed or row.evicted_total > 0:
-            return row.step
-    return len(obs.record.generated_ids)
-
-
 def check_reference(model, obs: Observation) -> list[str]:
-    """Tokens equal the greedy argmax of the batch forward; logits agree."""
-    generated = obs.record.generated_ids
-    count = clean_prefix(obs)
-    if count == 0:
-        return []
+    """Tokens and logits equal the batch forward under the recorded live sets.
+
+    Row q of the key mask is what the forward at position q attended to, so
+    one masked batch forward replays the whole pruned decode. A token sampled
+    after a round that evicted comes from requeried logits, which no row
+    reproduces; those tokens are skipped.
+    """
     p = len(obs.prompt)
-    ids = [tid for tid, _ in obs.prompt] + generated[: count - 1]
-    ref = model.reference_forward(ids)
+    generated = obs.record.generated_ids
+    ids = [tid for tid, _ in obs.prompt] + generated
+    size = len(ids)
+    ref = model.reference_forward(ids, key_mask=obs.masks[:, :, :size, :size])
+    requeried = {r.step for r in obs.rounds if r.record.evicted_total > 0}
     failures = []
-    for j in range(count):
+    for j, token in enumerate(generated):
+        if j in requeried:
+            continue
         row = ref[p - 1 + j]
         top2 = np.sort(row)[-2:]
         if top2[1] - top2[0] < LOGIT_RTOL * max(1.0, abs(top2[1])):
             continue
-        if generated[j] != int(np.argmax(row)):
-            failures.append(
-                f"generated token {j} is {generated[j]}, batch forward argmax is {int(np.argmax(row))}"
-            )
+        if token != int(np.argmax(row)):
+            failures.append(f"generated token {j} is {token}, "
+                            f"masked batch forward argmax is {int(np.argmax(row))}")
             break
-    for position in range(len(ids)):
+    for position in range(size):
         got = obs.logits.get(position)
         if got is None:
             continue

@@ -102,6 +102,16 @@ def test_changed_token_is_caught(capped, model):
     assert checks.check_reference(model, obs)
 
 
+def test_attention_to_an_evicted_key_is_caught(periodic, model):
+    obs = copy.deepcopy(periodic["ours"])
+    assert checks.check_reference(model, obs) == []
+    r = next(r for r in obs.rounds if r.record.evicted_total)
+    (layer, head), gone = next((key, r.pre[key] - r.post[key]) for key in r.pre if r.pre[key] - r.post[key])
+    row = len(obs.prompt) + r.step + 1
+    obs.masks[layer, head, row, min(gone)] = True
+    assert checks.check_reference(model, obs)
+
+
 def test_wrong_probe_schedule_is_caught(periodic):
     obs = copy.deepcopy(periodic["ours"])
     obs.interval += 1

@@ -78,7 +78,7 @@ WORKLOADS = {
             name="probe-dense",
             why="probe round every 16 tokens after a 128-token prompt, so probe forwards, "
                 "scoring, segmentation and planning dominate",
-            prompts=2, prompt_tokens=128, max_new=64,
+            prompts=1, prompt_tokens=128, max_new=64,
             policies=("ours", "random", "h2o", "streaming"), interval=16, k=8,
         ),
         Workload(
