@@ -1,7 +1,6 @@
 """Self-summarization driven eviction of redundant reasoning tokens from KV caches."""
 
 from .cache import (
-    BudgetMode,
     CacheBudget,
     CacheStats,
     KvCacheState,

@@ -9,14 +9,13 @@ snapshots taken for reporting are plain immutable copies.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
-from .policy import EvictionPlan
+from .policy import EvictionPlan, VictimSelector
 
 
 @dataclass(frozen=True)
@@ -31,36 +30,24 @@ class ProtectedRegions:
             raise ValueError("protected region sizes must be >= 0")
 
 
-class BudgetMode(str, Enum):
-    # Unbounded cache; a fixed number of tokens is evicted at each pruning round.
-    PERIODIC = "periodic"
-    # Hard cap on live non-prompt slots per (layer, head), enforced at every append.
-    RATIO = "ratio"
-
-
 @dataclass(frozen=True)
 class CacheBudget:
-    """Cache sizing policy; in ratio mode max_slots excludes prompt slots."""
+    """Hard cap on live non-prompt slots per (layer, head), enforced at every append.
 
-    mode: BudgetMode
+    recent_window defaults to half of max_slots.
+    """
+
+    max_slots: int
     ratio: float | None = None
-    max_slots: int | None = None
     recent_window: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode is BudgetMode.RATIO:
-            if self.ratio is not None and not 0.0 < self.ratio <= 1.0:
-                raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
-            if self.max_slots is None or self.max_slots < 1:
-                raise ValueError("ratio mode requires max_slots >= 1")
-            if self.recent_window is None:
-                object.__setattr__(self, "recent_window", self.max_slots // 2)
-        elif self.ratio is not None or self.max_slots is not None:
-            raise ValueError("periodic mode takes no ratio or max_slots")
-
-    @classmethod
-    def periodic(cls) -> "CacheBudget":
-        return cls(BudgetMode.PERIODIC)
+        if self.ratio is not None and not 0.0 < self.ratio <= 1.0:
+            raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
+        if self.max_slots < 1:
+            raise ValueError("a cache budget requires max_slots >= 1")
+        if self.recent_window is None:
+            object.__setattr__(self, "recent_window", self.max_slots // 2)
 
     @classmethod
     def from_ratio(cls, ratio: float, full_kv_len: float) -> "CacheBudget":
@@ -70,7 +57,7 @@ class CacheBudget:
         if full_kv_len <= 0:
             raise ValueError("full_kv_len must be positive")
         max_slots = max(1, int(ratio * full_kv_len))
-        return cls(BudgetMode.RATIO, ratio=ratio, max_slots=max_slots)
+        return cls(max_slots=max_slots, ratio=ratio)
 
 
 @dataclass(frozen=True)
@@ -105,16 +92,6 @@ class _HeadSlots:
         self.keys: list[np.ndarray] = []
         self.values: list[np.ndarray] = []
         self.appended = 0
-
-
-@dataclass(frozen=True)
-class CompactedHead:
-    """Dense live arrays for one (layer, head) plus the old-to-new index map."""
-
-    positions: np.ndarray
-    keys: np.ndarray
-    values: np.ndarray
-    remap: Mapping[int, int]
 
 
 class KvCacheState:
@@ -261,26 +238,6 @@ class KvCacheState:
     def appended_count(self, layer: int, head: int) -> int:
         return self._slots[(layer, head)].appended
 
-    def compact_head(self, layer: int, head: int) -> CompactedHead:
-        slots = self._slots[(layer, head)]
-        positions = np.array(slots.indices, dtype=np.int64)
-        if slots.indices:
-            keys = np.stack(slots.keys)
-            values = np.stack(slots.values)
-        else:
-            keys = np.zeros((0, self.head_dim), dtype=np.float64)
-            values = np.zeros((0, self.head_dim), dtype=np.float64)
-        remap = {old: new for new, old in enumerate(slots.indices)}
-        return CompactedHead(positions, keys, values, remap)
-
-    def compact(self) -> dict[tuple[int, int], CompactedHead]:
-        """Dense live arrays plus old-to-new index maps for every (layer, head)."""
-        return {
-            (layer, head): self.compact_head(layer, head)
-            for layer in range(self.num_layers)
-            for head in range(self.num_heads)
-        }
-
     def stats(self) -> CacheStats:
         counts = {key: len(slots.indices) for key, slots in self._slots.items()}
         values = list(counts.values())
@@ -292,20 +249,14 @@ class KvCacheState:
         )
 
 
-# (layer, head, eligible_tokens_oldest_first, count) -> tokens to evict
-VictimSelector = Callable[[int, int, list[int], int], list[int]]
-
-
 def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: VictimSelector) -> int:
-    """Make room for one incoming token under a ratio cache budget.
+    """Make room for one incoming token under a cache budget.
 
     If any (layer, head) would exceed max_slots non-prompt live entries
     after the next append, the selector picks exactly the overflow from the
     eligible (non-prompt, non-recent) tokens and those are evicted now.
     Returns the number of evicted entries.
     """
-    if budget.mode is not BudgetMode.RATIO:
-        raise ValueError("enforce_budget applies to ratio budgets only")
     recent = budget.recent_window or 0
     if budget.max_slots < recent:
         raise BudgetInfeasible(

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -319,7 +318,7 @@ def cmd_run(args) -> int:
         ratio_budget = CacheBudget.from_ratio(args.ratio, full_avg)
         policies = [name for name in policies if name != FULL_KV_NAME]
 
-    def execute(name: str) -> tuple[str, RunRecord]:
+    for name in policies:
         budget = (
             None if name == FULL_KV_NAME
             else ratio_budget if ratio_budget is not None
@@ -328,28 +327,12 @@ def cmd_run(args) -> int:
         )
         if name != FULL_KV_NAME and budget is None:
             raise InputFormatError("pruning policies need --budget K or --ratio R")
-        return name, _run_cell(name, args, budget)
-
-    if args.jobs > 1 and len(policies) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {name: pool.submit(execute, name) for name in policies}
-            for name, future in futures.items():
-                try:
-                    cell_name, record = future.result()
-                    records[cell_name] = record
-                except _INPUT_ERRORS:
-                    raise
-                except (PruneError, ValueError) as exc:
-                    failures.append(f"{name}: {type(exc).__name__}: {exc}")
-    else:
-        for name in policies:
-            try:
-                cell_name, record = execute(name)
-                records[cell_name] = record
-            except _INPUT_ERRORS:
-                raise
-            except (PruneError, ValueError) as exc:
-                failures.append(f"{name}: {type(exc).__name__}: {exc}")
+        try:
+            records[name] = _run_cell(name, args, budget)
+        except _INPUT_ERRORS:
+            raise
+        except (PruneError, ValueError) as exc:
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
 
     order = {name: i for i, name in enumerate(_SWEEP_POLICIES)}
     for name in sorted(records, key=lambda n: order.get(n, 99)):
@@ -523,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--sample", action="store_true", help="sample with temperature/top-p instead of greedy")
     p_run.add_argument("--temperature", type=float, default=0.6)
     p_run.add_argument("--top-p", type=float, default=0.95)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--keep-dumps", action="store_true",
                        help="store raw probe attention dumps inside run records")
     p_run.add_argument("--out")

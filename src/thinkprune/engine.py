@@ -9,30 +9,29 @@ the pruned original sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
 
-from .cache import (
-    BudgetMode,
-    CacheBudget,
-    KvCacheState,
-    ProtectedRegions,
-    enforce_budget,
-)
+from .cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
 from .errors import ProbeLeak
 from .model import EOS_ID, StepOutput, TinyDecoder, TinyModelConfig, token_text, tokenize
 from .policy import (
     EvictionBudget,
     H2OAccumulator,
     PolicyKind,
+    VictimSelector,
     allocate,
     h2o_scores,
+    lowest_scores,
+    oldest_first,
     plan_from_allocation,
     plan_h2o,
     plan_oldest,
     plan_random,
+    random_victims,
+    round_ranking,
 )
 from .scoring import (
     AttentionRow,
@@ -75,12 +74,8 @@ class DecodeConfig:
         if self.policy is None:
             if self.budget is not None:
                 raise ValueError("a budget without a policy has no effect; drop one")
-        else:
-            if isinstance(self.budget, CacheBudget):
-                if self.budget.mode is not BudgetMode.RATIO:
-                    raise ValueError("periodic pruning takes an EvictionBudget, not a CacheBudget")
-            elif not isinstance(self.budget, EvictionBudget):
-                raise ValueError("an active policy requires an EvictionBudget or ratio CacheBudget")
+        elif not isinstance(self.budget, (EvictionBudget, CacheBudget)):
+            raise ValueError("an active policy requires an EvictionBudget or a CacheBudget")
 
     @property
     def policy_name(self) -> str:
@@ -106,21 +101,8 @@ class ProbeRecord:
     dump: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "round_index": self.round_index,
-            "reasoning_tokens": self.reasoning_tokens,
-            "ran_probe": self.ran_probe,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
-            "scores_digest": self.scores_digest,
-            "scores": self.scores,
-            "step_scores": self.step_scores,
-            "allocation": self.allocation,
-            "evicted": self.evicted,
-            "plan_sizes": self.plan_sizes,
-            "evicted_total": self.evicted_total,
-            "dump": self.dump,
-        }
+        # shallow: dataclasses.asdict would deep-copy every score list
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeRecord":
@@ -166,24 +148,10 @@ class RunRecord:
         return len(self.generated_ids)
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        data = {
-            "model": self.model,
-            "policy": self.policy,
-            "budget": self.budget,
-            "prompt_len": self.prompt_len,
-            "generated_ids": self.generated_ids,
-            "reasoning_len": self.reasoning_len,
-            "think_end_emitted": self.think_end_emitted,
-            "probe_records": [rec.to_dict() for rec in self.probe_records],
-            "occupancy": self.occupancy,
-            "final_stats": self.final_stats,
-            "avg_kv": self.avg_kv,
-            "peak_kv": self.peak_kv,
-            "evicted_total": self.evicted_total,
-            "seeds": self.seeds,
-        }
-        if include_timings:
-            data["timings_ms"] = self.timings_ms
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["probe_records"] = [rec.to_dict() for rec in self.probe_records]
+        if not include_timings:
+            del data["timings_ms"]
         return data
 
     @classmethod
@@ -298,8 +266,10 @@ def probe_cycle(
     Appends the probe, captures the end-of-thinking attention rows, scores
     and segments, plans per the active policy (skipped when budget is None,
     e.g. under a ratio cap where eviction happens at append time), applies
-    the plan, then removes every probe token. If the model already produced
-    its own end-of-thinking token the cycle is skipped entirely.
+    the plan, then removes every probe token. The cycle is skipped entirely
+    if the model already produced its own end-of-thinking token
+    ("post-reasoning") or the probe would not fit under the model's maximum
+    sequence length ("no-room").
     """
     num_layers, num_heads = state.num_layers, state.num_heads
     reasoning_ids = [tok.id for tok in trace.tokens[trace.reason_start:]]
@@ -313,6 +283,10 @@ def probe_cycle(
     if probe_tokens[-1][0] != probe.think_end_token_id:
         raise ValueError("probe prompt does not tokenize to end with the end-of-thinking id")
     base = len(trace.tokens)
+    if base + len(probe_tokens) > model.config.max_seq_len:
+        record.skipped = True
+        record.skip_reason = "no-room"
+        return record, None
     pre_live = state.live_sets()
     last_rows: dict[tuple[int, int], dict[int, float]] | None = None
     try:
@@ -370,65 +344,6 @@ def probe_cycle(
     return record, ProbeArtifacts(scores, seg, step_scores)
 
 
-class _ScoreContext:
-    """Latest probe artifacts, consulted by ratio-mode victim selection."""
-
-    def __init__(self) -> None:
-        self.scores: ScoreTensor | None = None
-        self.step_value: dict[tuple[int, int], float] = {}
-        self.step_of: dict[int, int] = {}
-
-    def update(self, artifacts: ProbeArtifacts) -> None:
-        self.scores = artifacts.scores
-        self.step_value = {
-            (layer, sid): value
-            for layer, entries in artifacts.step_scores.by_layer.items()
-            for sid, value in entries
-        }
-        self.step_of = {
-            token: sid
-            for sid, step in enumerate(artifacts.seg.steps)
-            for token in range(step.start, step.end)
-        }
-
-
-def _make_victim_selector(
-    policy: PolicyKind,
-    state: KvCacheState,
-    h2o: H2OAccumulator,
-    context: _ScoreContext,
-    eviction_seed: int,
-):
-    """Per-append overflow victim choice for ratio budgets."""
-    inf = float("inf")
-
-    if policy is PolicyKind.STREAMING:
-        def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-            return eligible[:count]
-    elif policy is PolicyKind.RANDOM:
-        def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-            rng = np.random.default_rng([eviction_seed, state.next_index, layer, head])
-            picked = rng.choice(len(eligible), size=count, replace=False)
-            return [eligible[int(i)] for i in picked]
-    elif policy is PolicyKind.H2O:
-        def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-            acc = h2o.history()[(layer, head)]
-            return sorted(eligible, key=lambda t: (acc.get(t, 0.0), t))[:count]
-    elif policy is PolicyKind.HIERARCHICAL:
-        def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-            head_scores = context.scores.head_scores(layer, head) if context.scores else {}
-
-            def rank(token: int):
-                sid = context.step_of.get(token)
-                step_c = context.step_value.get((layer, sid), inf) if sid is not None else inf
-                return (step_c, head_scores.get(token, inf), token)
-
-            return sorted(eligible, key=rank)[:count]
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    return select
-
-
 def _sample_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
     if config.greedy:
         return int(np.argmax(logits))
@@ -476,13 +391,10 @@ def run(
     recent = ratio_budget.recent_window if ratio_budget is not None else config.recent_window
     protected = ProtectedRegions(len(prompt_tokens), recent)
     state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, protected)
-    h2o = H2OAccumulator(cfg.num_layers, cfg.num_heads)
-    context = _ScoreContext()
-    selector = (
-        _make_victim_selector(config.policy, state, h2o, context, config.eviction_seed)
-        if ratio_budget is not None
-        else None
-    )
+    h2o = H2OAccumulator(cfg.num_layers, cfg.num_heads) if config.policy is PolicyKind.H2O else None
+    # Under a ratio cap: random draws afresh per append; ours re-ranks after
+    # every probe round.
+    select: VictimSelector = lowest_scores(h2o.history()) if h2o is not None else oldest_first
     # Ratio caps evict at append time; probe rounds then only refresh scores,
     # which only the hierarchical policy consumes.
     probes_enabled = config.policy is not None and (
@@ -511,14 +423,17 @@ def run(
         position = len(tokens)
         step_started = perf_counter()
         if ratio_budget is not None:
-            enforce_budget(state, ratio_budget, selector)
+            if config.policy is PolicyKind.RANDOM:
+                select = random_victims((config.eviction_seed, position))
+            enforce_budget(state, ratio_budget, select)
         out = decode_step(state, model, next_id, position)
         logits = out.logits
         timings["decode_ms"] += (perf_counter() - step_started) * 1e3
         tokens.append(Token(position, next_id, token_text(next_id)))
         generated.append(next_id)
-        for (layer, head), row in out.rows.items():
-            h2o.update(layer, head, row)
+        if h2o is not None:
+            for (layer, head), row in out.rows.items():
+                h2o.update(layer, head, row)
         if next_id == config.probe.think_end_token_id and reasoning_active:
             reasoning_active = False
             reason_len = len(generated) - 1
@@ -541,8 +456,8 @@ def run(
             )
             timings["probe_ms"] += (perf_counter() - probe_started) * 1e3
             records.append(record)
-            if artifacts is not None:
-                context.update(artifacts)
+            if artifacts is not None and ratio_budget is not None:
+                select = round_ranking(artifacts.scores, artifacts.seg, artifacts.step_scores)
             if record.evicted_total > 0:
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:

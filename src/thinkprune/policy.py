@@ -5,12 +5,16 @@ greedily assigns the per-layer eviction budget to the most redundant steps
 first, then evicts the lowest-scoring tokens inside each allocated step
 independently per head. Random, accumulated-attention (h2o) and
 first/recent retention (streaming) baselines share the plan type.
+
+Each baseline's victim rule is one VictimSelector. Periodic rounds apply it
+through plan_by_selector; ratio caps pass the same selector to
+cache.enforce_budget.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +23,9 @@ import numpy as np
 from .errors import BudgetExceedsStep
 from .scoring import LivePredicate, ScoreTensor, StepScores, ranked_step_order
 from .trace import Segmentation, Step
+
+# (layer, head, eligible_tokens_oldest_first, count) -> tokens to evict
+VictimSelector = Callable[[int, int, list[int], int], list[int]]
 
 
 class PolicyKind(str, Enum):
@@ -175,6 +182,87 @@ def build_plan(
     )
 
 
+def oldest_first(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
+    """Streaming: evict the oldest eligible tokens."""
+    return eligible[:count]
+
+
+def random_victims(seed_prefix: Sequence[int]) -> VictimSelector:
+    """Uniform draw without replacement, seeded by (*seed_prefix, layer, head).
+
+    The generator is split deterministically per (layer, head), so the draw
+    does not depend on the order in which heads are visited.
+    """
+    prefix = list(seed_prefix)
+
+    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
+        rng = np.random.default_rng(prefix + [layer, head])
+        picked = rng.choice(len(eligible), size=count, replace=False)
+        return [eligible[int(i)] for i in picked]
+
+    return select
+
+
+def lowest_scores(head_scores: Mapping[tuple[int, int], Mapping[int, float]]) -> VictimSelector:
+    """Evict the lowest-scoring tokens; unscored tokens count as zero and
+    ties break toward the smaller token index."""
+
+    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
+        score = head_scores.get((layer, head), {})
+        return sorted(eligible, key=lambda t: (score.get(t, 0.0), t))[:count]
+
+    return select
+
+
+def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScores) -> VictimSelector:
+    """Ratio-cap victims for the hierarchical policy, from one probe round.
+
+    Tokens rank by their step's score, then their own score, then index;
+    tokens the round did not score go last. Before any round, oldest_first
+    gives the same order.
+    """
+    inf = float("inf")
+    step_value = {
+        (layer, sid): value
+        for layer, entries in step_scores.by_layer.items()
+        for sid, value in entries
+    }
+    step_of = {
+        token: sid for sid, step in enumerate(seg.steps) for token in range(step.start, step.end)
+    }
+
+    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
+        head_scores = scores.head_scores(layer, head)
+
+        def rank(token: int) -> tuple[float, float, int]:
+            step_c = step_value.get((layer, step_of.get(token)), inf)
+            return (step_c, head_scores.get(token, inf), token)
+
+        return sorted(eligible, key=rank)[:count]
+
+    return select
+
+
+def plan_by_selector(
+    num_layers: int,
+    num_heads: int,
+    seq_len: int,
+    live: LivePredicate,
+    budget: EvictionBudget,
+    select: VictimSelector,
+) -> EvictionPlan:
+    """Evict min(k, live) tokens per (layer, head), chosen by select."""
+    evicted: dict[tuple[int, int], frozenset[int]] = {}
+    for layer in range(num_layers):
+        for head in range(num_heads):
+            eligible = _live_in_span(0, seq_len, layer, head, live)
+            take = min(budget.k, len(eligible))
+            evicted[(layer, head)] = (
+                frozenset(select(layer, head, eligible, take)) if take else frozenset()
+            )
+    return EvictionPlan(num_layers, num_heads, evicted)
+
+
 def plan_random(
     num_layers: int,
     num_heads: int,
@@ -183,24 +271,9 @@ def plan_random(
     budget: EvictionBudget,
     seed: int | Sequence[int],
 ) -> EvictionPlan:
-    """Uniform random eviction of min(k, live) tokens per (layer, head).
-
-    The generator is split deterministically per (layer, head), so parallel
-    and serial plan construction agree.
-    """
-    seed_prefix = [seed] if isinstance(seed, int) else list(seed)
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            candidates = _live_in_span(0, seq_len, layer, head, live)
-            take = min(budget.k, len(candidates))
-            if take == 0:
-                evicted[(layer, head)] = frozenset()
-                continue
-            rng = np.random.default_rng(seed_prefix + [layer, head])
-            picked = rng.choice(len(candidates), size=take, replace=False)
-            evicted[(layer, head)] = frozenset(candidates[int(i)] for i in picked)
-    return EvictionPlan(num_layers, num_heads, evicted)
+    """Uniform random eviction of min(k, live) tokens per (layer, head)."""
+    prefix = [seed] if isinstance(seed, int) else seed
+    return plan_by_selector(num_layers, num_heads, seq_len, live, budget, random_victims(prefix))
 
 
 class H2OAccumulator:
@@ -253,20 +326,9 @@ def plan_h2o(
     live: LivePredicate,
     budget: EvictionBudget,
 ) -> EvictionPlan:
-    """Evict the k lowest accumulated-attention tokens per head, no step structure.
-
-    Candidates missing from the history count as zero and go first; ties
-    break toward the smaller token index.
-    """
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
-    for layer in range(scores.num_layers):
-        for head in range(scores.num_heads):
-            candidates = _live_in_span(0, seq_len, layer, head, live)
-            head_scores = scores.head_scores(layer, head)
-            candidates.sort(key=lambda t: (head_scores.get(t, 0.0), t))
-            take = min(budget.k, len(candidates))
-            evicted[(layer, head)] = frozenset(candidates[:take])
-    return EvictionPlan(scores.num_layers, scores.num_heads, evicted)
+    """Evict the k lowest accumulated-attention tokens per head, no step structure."""
+    return plan_by_selector(scores.num_layers, scores.num_heads, seq_len, live, budget,
+                            lowest_scores(scores.scores))
 
 
 def plan_streaming(
@@ -296,17 +358,9 @@ def plan_oldest(
     live: LivePredicate,
     budget: EvictionBudget,
 ) -> EvictionPlan:
-    """Evict the k oldest live candidates per (layer, head).
-
-    The per-round budgeted analog of streaming retention: FIFO on whatever
-    the predicate leaves eligible.
-    """
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            candidates = _live_in_span(0, seq_len, layer, head, live)
-            evicted[(layer, head)] = frozenset(candidates[: budget.k])
-    return EvictionPlan(num_layers, num_heads, evicted)
+    """Evict the k oldest live candidates per (layer, head): the per-round
+    budgeted analog of streaming retention."""
+    return plan_by_selector(num_layers, num_heads, seq_len, live, budget, oldest_first)
 
 
 def plan_to_dict(plan: EvictionPlan, allocation: StepAllocation | None = None) -> dict:

@@ -214,13 +214,6 @@ class Segmentation:
                 f"last step ends at {self.steps[-1].end}, trace has {self.trace_len} tokens"
             )
 
-    def step_of_token(self, token_index: int) -> int:
-        """Step id containing token_index; raises if outside the reasoning region."""
-        for sid, step in enumerate(self.steps):
-            if step.start <= token_index < step.end:
-                return sid
-        raise ValueError(f"token {token_index} is not inside any step")
-
 
 def _starts_word(text: str, pos: int) -> bool:
     if pos == 0:

@@ -1,4 +1,4 @@
-"""Cache bookkeeping: plans, protected regions, budgets, compaction, stats."""
+"""Cache bookkeeping: plans, protected regions, budgets, live arrays, stats."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from thinkprune.cache import (
-    BudgetMode,
     CacheBudget,
     KvCacheState,
     ProtectedRegions,
@@ -17,7 +16,14 @@ from thinkprune.errors import (
     ProtectedTokenEviction,
     UnknownToken,
 )
-from thinkprune.policy import EvictionPlan
+from thinkprune.policy import (
+    EvictionBudget,
+    EvictionPlan,
+    lowest_scores,
+    oldest_first,
+    plan_by_selector,
+    random_victims,
+)
 
 
 def fill_cache(num_layers, num_heads, head_dim, prompt_len, total, recent=0, seed=0):
@@ -121,7 +127,7 @@ class TestEnforceBudget:
         # Cap 8 non-prompt slots, recent window 4, 8 non-prompt live: the
         # next append must evict one of the 4 oldest non-recent tokens.
         state = fill_cache(1, 1, 4, prompt_len=2, total=10, recent=4)
-        budget = CacheBudget(BudgetMode.RATIO, ratio=0.5, max_slots=8, recent_window=4)
+        budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=4)
         seen = {}
 
         def take_oldest(layer, head, eligible, count):
@@ -137,19 +143,46 @@ class TestEnforceBudget:
 
     def test_below_cap_appends_without_eviction(self):
         state = fill_cache(1, 1, 4, prompt_len=2, total=6, recent=2)
-        budget = CacheBudget(BudgetMode.RATIO, ratio=0.5, max_slots=8, recent_window=2)
+        budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=2)
         assert enforce_budget(state, budget, lambda l, h, e, c: e[:c]) == 0
 
     def test_infeasible_window(self):
         state = fill_cache(1, 1, 4, prompt_len=1, total=4, recent=4)
-        budget = CacheBudget(BudgetMode.RATIO, ratio=0.5, max_slots=2, recent_window=4)
+        budget = CacheBudget(ratio=0.5, max_slots=2, recent_window=4)
         with pytest.raises(BudgetInfeasible):
             enforce_budget(state, budget, lambda l, h, e, c: e[:c])
 
-    def test_periodic_budget_rejected(self):
-        state = fill_cache(1, 1, 4, prompt_len=1, total=4)
-        with pytest.raises(ValueError):
-            enforce_budget(state, CacheBudget.periodic(), lambda l, h, e, c: e[:c])
+    @pytest.mark.parametrize("policy", ["random", "h2o", "streaming"])
+    def test_selector_evicts_what_a_periodic_plan_picks(self, policy):
+        # The same selector under a cap and in a periodic plan with k equal
+        # to the overflow, over the same eligible tokens, picks the same victims.
+        state = fill_cache(2, 2, 4, prompt_len=2, total=14, recent=3)
+        state.apply_plan(EvictionPlan(2, 2, {
+            (0, 0): frozenset({3}), (0, 1): frozenset({5}),
+            (1, 0): frozenset({4}), (1, 1): frozenset({8}),
+        }))
+        budget = CacheBudget(max_slots=7, recent_window=3)
+        rng = np.random.default_rng(3)
+        history = {(l, h): {t: float(rng.integers(0, 4)) for t in range(2, 14) if t % 3}
+                   for l in range(2) for h in range(2)}
+        select = {
+            "random": random_victims((7, state.next_index)),
+            "h2o": lowest_scores(history),
+            "streaming": oldest_first,
+        }[policy]
+        end = state.next_index
+
+        def eligible(layer, head, token):
+            return state.prompt_len <= token < end - 3 and state.is_live(layer, head, token)
+
+        # 11 non-prompt live per head: evict 5 of the 8 eligible
+        overflow = state.live_nonprompt_count(0, 0) + 1 - budget.max_slots
+        assert overflow == 5
+        plan = plan_by_selector(2, 2, end, eligible, EvictionBudget(overflow), select)
+        before = state.live_sets()
+        assert enforce_budget(state, budget, select) == 4 * overflow
+        after = state.live_sets()
+        assert {key: before[key] - after[key] for key in before} == dict(plan.evicted)
 
     def test_ratio_resolution_and_default_window(self):
         budget = CacheBudget.from_ratio(0.25, 130.0)
@@ -160,18 +193,23 @@ class TestEnforceBudget:
 
 
 class TestCompact:
+    """live_arrays: dense live key/value rows, oldest first, with their positions."""
+
     def test_identity_mapping_without_evictions(self):
         state = fill_cache(1, 1, 4, prompt_len=0, total=5)
-        head = state.compact_head(0, 0)
-        assert head.remap == {i: i for i in range(5)}
-        assert list(head.positions) == list(range(5))
+        positions, keys, values = state.live_arrays(0, 0)
+        assert positions == list(range(5))
+        assert keys.shape == values.shape == (5, 4)
 
     def test_mapping_after_evictions(self):
         state = fill_cache(1, 1, 4, prompt_len=0, total=4)
+        before = state.live_arrays(0, 0)
         state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({1})}))
-        head = state.compact_head(0, 0)
-        assert head.remap == {0: 0, 2: 1, 3: 2}
-        assert list(head.positions) == [0, 2, 3]
+        positions, keys, values = state.live_arrays(0, 0)
+        assert positions == [0, 2, 3]
+        # each surviving row keeps the vectors of its original position
+        assert (keys == before[1][[0, 2, 3]]).all()
+        assert (values == before[2][[0, 2, 3]]).all()
 
     def test_compacted_attention_matches_masked_attention(self, rng):
         # Softmax over the dense live arrays equals softmax over the full
@@ -186,11 +224,11 @@ class TestCompact:
         state.apply_plan(plan)
         for head in range(2):
             query = rng.standard_normal(8)
-            dense = state.compact_head(0, head)
-            scores = dense.keys @ query
+            _positions, keys, values = state.live_arrays(0, head)
+            scores = keys @ query
             weights = np.exp(scores - scores.max())
             weights /= weights.sum()
-            out_compact = weights @ dense.values
+            out_compact = weights @ values
 
             keys_full, values_full = full[(0, head)]
             masked = keys_full @ query
@@ -200,10 +238,6 @@ class TestCompact:
             w_full /= w_full.sum()
             out_masked = w_full @ values_full
             assert np.max(np.abs(out_compact - out_masked)) < 1e-6 * max(1.0, np.max(np.abs(out_masked)))
-
-    def test_compact_covers_all_slots(self):
-        state = fill_cache(2, 2, 4, prompt_len=0, total=3)
-        assert set(state.compact()) == {(l, h) for l in range(2) for h in range(2)}
 
 
 class TestStats:

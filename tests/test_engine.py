@@ -48,10 +48,6 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             make_config(policy=PolicyKind.HIERARCHICAL, budget=None)
 
-    def test_periodic_cache_budget_rejected(self):
-        with pytest.raises(ValueError):
-            make_config(policy=PolicyKind.HIERARCHICAL, budget=CacheBudget.periodic())
-
     def test_sampling_needs_positive_temperature(self):
         with pytest.raises(ValueError):
             make_config(greedy=False, temperature=0.0)
@@ -227,6 +223,19 @@ class TestProbeCycle:
         assert artifacts is not None
         assert state.live_sets() == before
 
+    def test_round_without_room_is_skipped(self):
+        # The 25-token probe overflows max_seq_len 64 from the third round on;
+        # those rounds are recorded as skipped and decoding runs to the end.
+        cfg = TinyModelConfig(num_layers=4, num_heads=4, model_dim=64, head_dim=16,
+                              max_seq_len=64, rng_seed=0)
+        record = run(cfg, PROMPT, make_config(policy=PolicyKind.HIERARCHICAL,
+                                              budget=EvictionBudget(8),
+                                              max_new=50, interval=16))
+        assert record.tokens_generated == 50
+        last = record.probe_records[-1]
+        assert last.skipped and last.skip_reason == "no-room"
+        assert not last.ran_probe
+
 
 class TestRequery:
     def test_requery_without_evictions_is_bitwise_identical(self):
@@ -349,6 +358,20 @@ class TestRatioMode:
             run(cfg, PROMPT, make_config(policy=policy, budget=budget, max_new=40),
                 on_step=audit)
         assert violations == []
+
+    def test_ours_evicts_oldest_before_any_probe_round(self):
+        # With no probe round yet, the hierarchical policy has no scores and
+        # its ratio-cap victims are the oldest eligible tokens, as in streaming.
+        cfg = TinyModelConfig(rng_seed=1)
+        budget = CacheBudget.from_ratio(0.25, 30.0)
+        ours, streaming = (
+            run(cfg, PROMPT, make_config(policy=policy, budget=budget, max_new=40, interval=64))
+            for policy in (PolicyKind.HIERARCHICAL, PolicyKind.STREAMING)
+        )
+        assert ours.probe_rounds == 0
+        assert ours.evicted_total > 0
+        assert ours.occupancy == streaming.occupancy
+        assert ours.generated_ids == streaming.generated_ids
 
 
 class TestRunRecord:

@@ -21,11 +21,13 @@ from thinkprune.policy import (
     allocate,
     build_plan,
     h2o_scores,
+    oldest_first,
     plan_h2o,
     plan_oldest,
     plan_random,
     plan_streaming,
     plan_to_dict,
+    round_ranking,
     select_within_step,
 )
 from thinkprune.scoring import ScoreTensor, StepScores, aggregate_step_scores
@@ -330,3 +332,32 @@ class TestPlanOldest:
         live = live_from_sets({(0, 0): {4}})
         plan = plan_oldest(1, 1, 10, live, EvictionBudget(3))
         assert plan.head_set(0, 0) == frozenset({4})
+
+
+class TestRoundRanking:
+    """Ratio-cap victims of the hierarchical policy, ranked from one probe round."""
+
+    # steps [2, 5) and [5, 8); tokens 8 and 9 were generated after the round
+    SEG = make_segmentation(2, [3, 3])
+    SCORES = ScoreTensor(2, 1, {
+        (0, 0): {2: 0.1, 3: 0.5, 4: 0.3, 5: 0.9, 6: 0.4, 7: 0.7},
+        (1, 0): {2: 0.2, 3: 0.2, 4: 0.6, 5: 0.1, 6: 0.3, 7: 0.3},
+    })
+    STEPS = StepScores({0: ((0, 0.6), (1, 0.2)), 1: ((0, 0.1), (1, 0.8))})
+
+    def test_lowest_step_score_first_then_token_score(self):
+        select = round_ranking(self.SCORES, self.SEG, self.STEPS)
+        assert select(0, 0, list(range(2, 8)), 6) == [6, 7, 5, 2, 4, 3]
+        # layer 1 orders its steps the other way; equal token scores fall to the index
+        assert select(1, 0, list(range(2, 8)), 6) == [2, 3, 4, 5, 6, 7]
+        assert select(0, 0, list(range(2, 8)), 2) == [6, 7]
+
+    def test_tokens_after_the_round_go_last(self):
+        select = round_ranking(self.SCORES, self.SEG, self.STEPS)
+        assert select(0, 0, [2, 6, 8, 9], 4) == [6, 2, 8, 9]
+        assert select(0, 0, [9, 8, 2], 2) == [2, 8]
+
+    def test_oldest_first_before_any_round(self):
+        assert oldest_first(0, 0, [4, 6, 9, 11], 2) == [4, 6]
+        unscored = round_ranking(ScoreTensor(2, 1, {}), self.SEG, StepScores({}))
+        assert unscored(1, 0, [4, 6, 9, 11], 2) == [4, 6]
