@@ -1,10 +1,11 @@
-"""KV-cache occupancy bookkeeping: live slots, protected regions, budgets.
+"""KV cache storage and occupancy: live mask, protected regions, budgets.
 
-The cache tracks, per (layer, head), the strictly increasing list of live
-token indices together with their key/value vectors. Eviction never
-re-indexes survivors; original positions stay attached to the vectors so
-positional geometry is preserved. A cache is owned by a single decode loop;
-snapshots taken for reporting are plain immutable copies.
+Keys and values sit in two arrays indexed by (layer, head, token position),
+and one boolean mask of the same leading shape says which entries are
+live. Eviction clears mask bits and never moves a vector, so every survivor
+keeps its original position and positional geometry is preserved. A cache
+is owned by a single decode loop; snapshots taken for reporting are plain
+immutable copies.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 from .errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
 from .policy import EvictionPlan, VictimSelector
+
+# Token positions allocated up front; append doubles the arrays when full.
+_INITIAL_CAPACITY = 64
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,6 @@ class CacheBudget:
     @classmethod
     def from_ratio(cls, ratio: float, full_kv_len: float) -> "CacheBudget":
         """Resolve a compression ratio against a measured full-cache average length."""
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"ratio must be in (0, 1], got {ratio}")
         if full_kv_len <= 0:
             raise ValueError("full_kv_len must be positive")
         max_slots = max(1, int(ratio * full_kv_len))
@@ -81,21 +83,14 @@ class CacheStats:
         }
 
 
-class _HeadSlots:
-    """Live entries of one (layer, head): indices plus key/value vectors."""
-
-    __slots__ = ("indices", "index_set", "keys", "values", "appended")
-
-    def __init__(self) -> None:
-        self.indices: list[int] = []
-        self.index_set: set[int] = set()
-        self.keys: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
-        self.appended = 0
-
-
 class KvCacheState:
-    """Mutable per-(layer, head) live-slot bookkeeping for one decode loop."""
+    """Key/value storage plus one live mask per (layer, head), for one decode loop.
+
+    keys and values have shape (layers, heads, capacity, head_dim) and live
+    has shape (layers, heads, capacity); position t holds token t. Capacity
+    doubles whenever an append reaches it, and only positions below
+    next_index can be live.
+    """
 
     def __init__(
         self,
@@ -110,11 +105,9 @@ class KvCacheState:
         self.num_heads = num_heads
         self.head_dim = head_dim
         self.protected = protected
-        self._slots = {
-            (layer, head): _HeadSlots()
-            for layer in range(num_layers)
-            for head in range(num_heads)
-        }
+        self.keys = np.zeros((num_layers, num_heads, _INITIAL_CAPACITY, head_dim))
+        self.values = np.zeros_like(self.keys)
+        self.live = np.zeros((num_layers, num_heads, _INITIAL_CAPACITY), dtype=bool)
         self.next_index = 0
         self.evicted_total = 0
 
@@ -122,18 +115,21 @@ class KvCacheState:
     def prompt_len(self) -> int:
         return self.protected.prompt_len
 
+    def _positions(self, layer: int, head: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Live positions of one (layer, head) in [start, stop), oldest first."""
+        return start + np.flatnonzero(self.live[layer, head, start:stop])
+
     def live_indices(self, layer: int, head: int) -> tuple[int, ...]:
-        return tuple(self._slots[(layer, head)].indices)
+        return tuple(self._positions(layer, head).tolist())
 
     def live_count(self, layer: int, head: int) -> int:
-        return len(self._slots[(layer, head)].indices)
+        return int(np.count_nonzero(self.live[layer, head]))
 
     def live_nonprompt_count(self, layer: int, head: int) -> int:
-        slots = self._slots[(layer, head)]
-        return sum(1 for t in slots.indices if t >= self.prompt_len)
+        return int(np.count_nonzero(self.live[layer, head, self.prompt_len:]))
 
     def is_live(self, layer: int, head: int, token: int) -> bool:
-        return token in self._slots[(layer, head)].index_set
+        return 0 <= token < self.next_index and bool(self.live[layer, head, token])
 
     def is_protected(self, token: int, *, sequence_end: int | None = None) -> bool:
         """Prompt tokens always; recent-window tokens relative to sequence_end.
@@ -151,15 +147,16 @@ class KvCacheState:
 
     def live_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """Immutable snapshot of every (layer, head) live index set."""
-        return {key: frozenset(slots.index_set) for key, slots in self._slots.items()}
+        return {
+            (layer, head): frozenset(self._positions(layer, head).tolist())
+            for layer in range(self.num_layers)
+            for head in range(self.num_heads)
+        }
 
     def live_arrays(self, layer: int, head: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """Live indices plus stacked key/value matrices, oldest first."""
-        slots = self._slots[(layer, head)]
-        if not slots.indices:
-            empty = np.zeros((0, self.head_dim), dtype=np.float64)
-            return [], empty, empty
-        return list(slots.indices), np.stack(slots.keys), np.stack(slots.values)
+        """Live indices plus their key/value rows, oldest first."""
+        positions = self._positions(layer, head)
+        return positions.tolist(), self.keys[layer, head, positions], self.values[layer, head, positions]
 
     def append(self, token_index: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Commit one token's key/value vectors to every (layer, head).
@@ -171,21 +168,23 @@ class KvCacheState:
             raise ValueError(
                 f"appends must be sequential: expected {self.next_index}, got {token_index}"
             )
-        for layer in range(self.num_layers):
-            for head in range(self.num_heads):
-                slots = self._slots[(layer, head)]
-                slots.indices.append(token_index)
-                slots.index_set.add(token_index)
-                slots.keys.append(np.asarray(keys[layer, head], dtype=np.float64).copy())
-                slots.values.append(np.asarray(values[layer, head], dtype=np.float64).copy())
-                slots.appended += 1
+        capacity = self.live.shape[2]
+        if token_index == capacity:
+            grow = ((0, 0), (0, 0), (0, capacity))
+            self.keys = np.pad(self.keys, grow + ((0, 0),))
+            self.values = np.pad(self.values, grow + ((0, 0),))
+            self.live = np.pad(self.live, grow)
+        self.keys[:, :, token_index] = keys
+        self.values[:, :, token_index] = values
+        self.live[:, :, token_index] = True
         self.next_index += 1
 
     def apply_plan(self, plan: EvictionPlan, *, sequence_end: int | None = None) -> int:
         """Remove every planned token; validates the whole plan before mutating.
 
-        Returns the number of entries removed. Raises ProtectedTokenEviction
-        or UnknownToken (leaving the state untouched) if the plan is invalid.
+        Returns the number of entries removed. Raises UnknownToken or
+        ProtectedTokenEviction (leaving the state untouched) if the plan is
+        invalid.
         """
         if plan.num_layers != self.num_layers or plan.num_heads != self.num_heads:
             raise ValueError(
@@ -193,25 +192,17 @@ class KvCacheState:
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
         for (layer, head), victims in plan.evicted.items():
-            slots = self._slots[(layer, head)]
             for token in sorted(victims):
+                if not self.is_live(layer, head, token):
+                    raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
                 if self.is_protected(token, sequence_end=sequence_end):
                     raise ProtectedTokenEviction(
                         f"token {token} at ({layer}, {head}) is prompt or recent-window protected"
                     )
-                if token not in slots.index_set:
-                    raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
         removed = 0
         for (layer, head), victims in plan.evicted.items():
-            if not victims:
-                continue
-            slots = self._slots[(layer, head)]
-            keep = [i for i, t in enumerate(slots.indices) if t not in victims]
-            removed += len(slots.indices) - len(keep)
-            slots.indices = [slots.indices[i] for i in keep]
-            slots.keys = [slots.keys[i] for i in keep]
-            slots.values = [slots.values[i] for i in keep]
-            slots.index_set -= victims
+            self.live[layer, head, list(victims)] = False
+            removed += len(victims)
         self.evicted_total += removed
         return removed
 
@@ -221,28 +212,22 @@ class KvCacheState:
         Used to retract transient probe tokens; removals are not counted as
         evictions and next_index rolls back to start_index.
         """
-        removed = 0
-        for slots in self._slots.values():
-            keep = [i for i, t in enumerate(slots.indices) if t < start_index]
-            dropped = len(slots.indices) - len(keep)
-            if dropped:
-                slots.indices = [slots.indices[i] for i in keep]
-                slots.keys = [slots.keys[i] for i in keep]
-                slots.values = [slots.values[i] for i in keep]
-                slots.index_set = {t for t in slots.index_set if t < start_index}
-                slots.appended -= dropped
-                removed += dropped
+        start = max(start_index, 0)
+        removed = int(np.count_nonzero(self.live[:, :, start:]))
+        self.live[:, :, start:] = False
         self.next_index = min(self.next_index, start_index)
         return removed
 
-    def appended_count(self, layer: int, head: int) -> int:
-        return self._slots[(layer, head)].appended
-
     def stats(self) -> CacheStats:
-        counts = {key: len(slots.indices) for key, slots in self._slots.items()}
-        values = list(counts.values())
+        counts = np.count_nonzero(self.live, axis=2).tolist()
+        live_counts = {
+            (layer, head): count
+            for layer, row in enumerate(counts)
+            for head, count in enumerate(row)
+        }
+        values = list(live_counts.values())
         return CacheStats(
-            live_counts=counts,
+            live_counts=live_counts,
             average_live=sum(values) / len(values),
             peak_live=max(values),
             evicted_total=self.evicted_total,
@@ -257,7 +242,7 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
     eligible (non-prompt, non-recent) tokens and those are evicted now.
     Returns the number of evicted entries.
     """
-    recent = budget.recent_window or 0
+    recent = budget.recent_window
     if budget.max_slots < recent:
         raise BudgetInfeasible(
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
@@ -272,11 +257,9 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
                 evictions[(layer, head)] = frozenset()
                 continue
             any_overflow = True
-            eligible = [
-                t
-                for t in state.live_indices(layer, head)
-                if t >= state.prompt_len and (recent == 0 or t < recent_floor)
-            ]
+            # max_slots >= recent non-prompt tokens are live, so the floor is
+            # at or past prompt_len and the slice cannot wrap
+            eligible = state._positions(layer, head, state.prompt_len, recent_floor).tolist()
             if len(eligible) < overflow:
                 raise BudgetInfeasible(
                     f"(layer {layer}, head {head}) must evict {overflow} but only "

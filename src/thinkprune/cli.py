@@ -95,7 +95,6 @@ class ReportRow:
     evicted_total: int
     tokens_generated: int
     probe_rounds: int
-    runtime_ms: float
 
     FIELDS = ("policy", "budget", "avg_kv", "peak_kv", "evicted_total",
               "tokens_generated", "probe_rounds")
@@ -120,7 +119,6 @@ class ReportRow:
             evicted_total=record.evicted_total,
             tokens_generated=record.tokens_generated,
             probe_rounds=record.probe_rounds,
-            runtime_ms=sum(record.timings_ms.values()),
         )
 
 

@@ -121,7 +121,6 @@ class StepOutput:
     rows: dict[tuple[int, int], dict[int, float]]
     keys: np.ndarray | None
     values: np.ndarray | None
-    queries: np.ndarray | None = None
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -202,7 +201,6 @@ class TinyDecoder:
         position: int,
         *,
         include_new_kv: bool = True,
-        collect_queries: bool = False,
     ) -> StepOutput:
         """One token forward over the live cache entries.
 
@@ -221,7 +219,6 @@ class TinyDecoder:
         rows: dict[tuple[int, int], dict[int, float]] = {}
         new_keys = np.empty((cfg.num_layers, num_heads, head_dim)) if include_new_kv else None
         new_values = np.empty_like(new_keys) if include_new_kv else None
-        queries = np.empty((cfg.num_layers, num_heads, head_dim)) if collect_queries else None
         inv_scale = 1.0 / math.sqrt(head_dim)
         for layer in range(cfg.num_layers):
             u = self._rms(x, self._w[f"layers.{layer}.attn_norm"])
@@ -230,8 +227,6 @@ class TinyDecoder:
             v = (u @ self._w[f"layers.{layer}.wv"]).reshape(num_heads, head_dim)
             q = self._rope(q, position)
             k = self._rope(k, position)
-            if collect_queries:
-                queries[layer] = q
             attn_out = np.empty((num_heads, head_dim))
             for head in range(num_heads):
                 indices, key_mat, val_mat = cache.live_arrays(layer, head)
@@ -251,7 +246,7 @@ class TinyDecoder:
                 new_keys[layer] = k
                 new_values[layer] = v
         logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
-        return StepOutput(logits, rows, new_keys, new_values, queries)
+        return StepOutput(logits, rows, new_keys, new_values)
 
     # --- batch oracle path ----------------------------------------------------
 

@@ -48,13 +48,14 @@ class TestApplyPlan:
     def test_empty_plan_leaves_state_unchanged(self):
         state = fill_cache(1, 2, 4, prompt_len=1, total=6)
         before = state.live_sets()
-        before_keys = {key: [a.copy() for a in state._slots[key].keys] for key in before}
+        before_arrays = {key: state.live_arrays(*key) for key in before}
         state.apply_plan(EvictionPlan(1, 2, {}))
         assert state.live_sets() == before
         assert state.evicted_total == 0
-        for key, arrays in before_keys.items():
-            for a, b in zip(arrays, state._slots[key].keys):
-                assert (a == b).all()
+        for key, (positions, keys, values) in before_arrays.items():
+            after = state.live_arrays(*key)
+            assert after[0] == positions
+            assert (after[1] == keys).all() and (after[2] == values).all()
 
     def test_prompt_token_is_protected(self):
         state = fill_cache(1, 1, 4, prompt_len=2, total=6)
@@ -71,6 +72,19 @@ class TestApplyPlan:
         state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({4})}))
         with pytest.raises(UnknownToken):
             state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({4})}))
+
+    @pytest.mark.parametrize("token", [-1, -3, "next", "far"])
+    def test_out_of_range_token_is_unknown(self, token):
+        # Liveness is checked before protection, so a negative index is
+        # reported as unknown rather than as a protected prompt token, and it
+        # never wraps around to the end of the cache.
+        state = fill_cache(1, 1, 4, prompt_len=2, total=6)
+        token = {"next": state.next_index, "far": 10 * state.next_index}.get(token, token)
+        before = state.live_sets()
+        with pytest.raises(UnknownToken):
+            state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({token})}))
+        assert state.live_sets() == before
+        assert state.evicted_total == 0
 
     def test_validation_happens_before_mutation(self):
         state = fill_cache(1, 1, 4, prompt_len=2, total=6)
@@ -106,20 +120,23 @@ class TestConservation:
             (1, 0): frozenset({2}), (1, 1): frozenset({9}),
         })
         state.apply_plan(plan)
+        assert state.next_index == 12
         for layer in range(2):
             for head in range(2):
                 live = state.live_count(layer, head)
-                appended = state.appended_count(layer, head)
                 evicted = len(plan.head_set(layer, head))
-                assert appended - evicted == live
+                assert state.next_index - evicted == live
 
     def test_remove_suffix_rolls_back_appends(self):
         state = fill_cache(1, 1, 4, prompt_len=1, total=8)
         state.remove_suffix(5)
         assert state.live_indices(0, 0) == (0, 1, 2, 3, 4)
         assert state.next_index == 5
-        assert state.appended_count(0, 0) == 5
+        assert state.live_count(0, 0) == 5
         assert state.evicted_total == 0
+        # the rolled-back positions are free for new appends
+        state.append(5, np.ones((1, 1, 4)), np.ones((1, 1, 4)))
+        assert state.live_indices(0, 0) == (0, 1, 2, 3, 4, 5)
 
 
 class TestEnforceBudget:
@@ -215,11 +232,7 @@ class TestCompact:
         # Softmax over the dense live arrays equals softmax over the full
         # arrays with evicted positions masked to -inf.
         state = fill_cache(1, 2, 8, prompt_len=0, total=12, seed=5)
-        full = {
-            (0, h): (np.stack(state._slots[(0, h)].keys),
-                     np.stack(state._slots[(0, h)].values))
-            for h in range(2)
-        }
+        full = {(0, h): state.live_arrays(0, h)[1:] for h in range(2)}
         plan = EvictionPlan(1, 2, {(0, 0): frozenset({2, 7, 9}), (0, 1): frozenset({0, 3, 11})})
         state.apply_plan(plan)
         for head in range(2):

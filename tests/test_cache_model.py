@@ -1,0 +1,201 @@
+"""Model-based test: KvCacheState against a naive per-(layer, head) list reference.
+
+Random sequences of appends, valid and invalid eviction plans, suffix
+removals and budget enforcement drive the cache and a dict-of-lists model
+side by side. After every operation, accepted or rejected, every public
+view of the cache must match the model.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+
+from thinkprune import cache as cache_module
+from thinkprune.cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
+from thinkprune.errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
+from thinkprune.policy import EvictionPlan, oldest_first, random_victims
+
+
+@pytest.fixture(autouse=True)
+def one_slot_initial_capacity(monkeypatch):
+    # Every cache starts with room for one token, so appends cross many
+    # doublings and next_index often sits exactly at the capacity.
+    monkeypatch.setattr(cache_module, "_INITIAL_CAPACITY", 1)
+
+
+def expect_rejection(error, call):
+    """call() must raise exactly error, not a subclass of it."""
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error, repr(caught.value)
+
+
+class ListCache:
+    """Reference: (layer, head) -> [(token, key, value)] oldest first."""
+
+    def __init__(self, num_layers, num_heads, prompt_len, recent_window):
+        self.heads = {(l, h): [] for l in range(num_layers) for h in range(num_heads)}
+        self.prompt_len = prompt_len
+        self.recent_window = recent_window
+        self.next_index = 0
+        self.evicted_total = 0
+
+    def tokens(self, key):
+        return [t for t, _k, _v in self.heads[key]]
+
+    def nonprompt(self, key):
+        return sum(1 for t in self.tokens(key) if t >= self.prompt_len)
+
+    def protected(self, token, sequence_end):
+        end = self.next_index if sequence_end is None else sequence_end
+        return token < self.prompt_len or (self.recent_window > 0 and token >= end - self.recent_window)
+
+    def plan_error(self, evicted, sequence_end):
+        for key, victims in evicted.items():
+            for token in sorted(victims):
+                if token not in self.tokens(key):
+                    return UnknownToken
+                if self.protected(token, sequence_end):
+                    return ProtectedTokenEviction
+        return None
+
+    def remove(self, evicted):
+        for key, victims in evicted.items():
+            self.heads[key] = [entry for entry in self.heads[key] if entry[0] not in victims]
+            self.evicted_total += len(victims)
+
+
+class CacheMachine(RuleBasedStateMachine):
+    @initialize(
+        num_layers=st.integers(1, 2),
+        num_heads=st.integers(1, 3),
+        head_dim=st.sampled_from([2, 4]),
+        prompt_len=st.integers(0, 3),
+        recent_window=st.integers(0, 3),
+        prefill=st.integers(0, 12),
+    )
+    def setup(self, num_layers, num_heads, head_dim, prompt_len, recent_window, prefill):
+        self.shape = (num_layers, num_heads, head_dim)
+        self.cache = KvCacheState(num_layers, num_heads, head_dim,
+                                  ProtectedRegions(prompt_len, recent_window))
+        self.model = ListCache(num_layers, num_heads, prompt_len, recent_window)
+        self.append(seed=prefill, count=prefill)
+
+    @rule(seed=st.integers(0, 2**16), count=st.integers(1, 4))
+    def append(self, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            keys, values = rng.standard_normal(self.shape), rng.standard_normal(self.shape)
+            index = self.model.next_index
+            self.cache.append(index, keys, values)
+            for (layer, head), entries in self.model.heads.items():
+                entries.append((index, keys[layer, head].copy(), values[layer, head].copy()))
+            self.model.next_index += 1
+            self.matches_model()
+
+    @rule(offset=st.sampled_from([-2, -1, 1, 5]))
+    def append_out_of_order(self, offset):
+        zeros = np.zeros(self.shape)
+        expect_rejection(ValueError, lambda: self.cache.append(self.model.next_index + offset, zeros, zeros))
+
+    @rule(data=st.data(), valid=st.booleans())
+    def apply_plan(self, data, valid):
+        num_layers, num_heads, _ = self.shape
+        model = self.model
+        end = model.next_index
+        sequence_end = data.draw(st.one_of(st.none(), st.integers(max(0, end - 3), end)))
+        evicted = {}
+        for layer in range(num_layers):
+            keys = [(layer, head) for head in range(num_heads)]
+            evictable = {key: [t for t in model.tokens(key) if not model.protected(t, sequence_end)]
+                         for key in keys}
+            limit = min([3] + [len(evictable[key]) for key in keys]) if valid else 3
+            size = data.draw(st.integers(0, limit))
+            for key in keys:
+                live = model.tokens(key)
+                if valid:
+                    pool = st.sampled_from(evictable[key]) if size else st.nothing()
+                elif live:
+                    pool = st.one_of(st.sampled_from(live), st.integers(-4, end + 4))
+                else:
+                    pool = st.integers(-4, end + 4)
+                evicted[key] = frozenset(
+                    data.draw(st.lists(pool, min_size=size, max_size=size, unique=True)))
+        plan = EvictionPlan(num_layers, num_heads, evicted)
+        error = model.plan_error(plan.evicted, sequence_end)
+        if error is not None:
+            expect_rejection(error, lambda: self.cache.apply_plan(plan, sequence_end=sequence_end))
+            return
+        assert self.cache.apply_plan(plan, sequence_end=sequence_end) == plan.total()
+        model.remove(plan.evicted)
+
+    @rule(tail=st.integers(-2, 5))
+    def remove_suffix(self, tail):
+        start = max(0, self.model.next_index - tail)
+        dropped = sum(1 for key in self.model.heads for t in self.model.tokens(key) if t >= start)
+        assert self.cache.remove_suffix(start) == dropped
+        for key, entries in self.model.heads.items():
+            self.model.heads[key] = [entry for entry in entries if entry[0] < start]
+        self.model.next_index = min(self.model.next_index, start)
+
+    @rule(max_slots=st.integers(1, 6), randomized=st.booleans(), seed=st.integers(0, 99))
+    def enforce_budget(self, max_slots, randomized, seed):
+        recent = self.model.recent_window
+        budget = CacheBudget(max_slots=max_slots, recent_window=recent)
+        select = random_victims((seed,)) if randomized else oldest_first
+        model = self.model
+        overflow = {key: max(0, model.nonprompt(key) + 1 - max_slots) for key in model.heads}
+        eligible = {key: [t for t in model.tokens(key)
+                          if model.prompt_len <= t < model.next_index - recent]
+                    for key in model.heads}
+        # The evictions form one EvictionPlan, whose heads must evict equally
+        # within a layer; heads of a layer only hold different live counts
+        # after a suffix removal reaches below an earlier eviction.
+        sizes = {(layer, overflow[(layer, head)]) for layer, head in model.heads}
+        if max_slots < recent or any(overflow[key] > len(eligible[key]) for key in model.heads):
+            error = BudgetInfeasible
+        elif len(sizes) > len({layer for layer, _size in sizes}):
+            error = ValueError
+        else:
+            error = None
+        if error is not None:
+            expect_rejection(error, lambda: enforce_budget(self.cache, budget, select))
+            return
+        evicted = {key: frozenset(select(key[0], key[1], eligible[key], overflow[key]))
+                   for key in model.heads if overflow[key]}
+        assert enforce_budget(self.cache, budget, select) == sum(map(len, evicted.values()))
+        model.remove(evicted)
+
+    @invariant()
+    def matches_model(self):
+        cache, model = self.cache, self.model
+        assert cache.next_index == model.next_index
+        assert cache.evicted_total == model.evicted_total
+        counts = {}
+        for (layer, head), entries in model.heads.items():
+            tokens = [t for t, _k, _v in entries]
+            assert cache.live_indices(layer, head) == tuple(tokens)
+            assert cache.live_nonprompt_count(layer, head) == model.nonprompt((layer, head))
+            positions, keys, values = cache.live_arrays(layer, head)
+            assert positions == tokens
+            assert keys.shape == values.shape == (len(tokens), self.shape[2])
+            for row, (_t, key, value) in enumerate(entries):
+                assert keys[row].tobytes() == key.tobytes()
+                assert values[row].tobytes() == value.tobytes()
+            counts[(layer, head)] = len(tokens)
+        assert cache.live_sets() == {key: frozenset(model.tokens(key)) for key in model.heads}
+        stats = cache.stats()
+        assert dict(stats.live_counts) == counts
+        assert stats.average_live == sum(counts.values()) / len(counts)
+        assert stats.peak_live == max(counts.values())
+        assert stats.evicted_total == model.evicted_total
+
+
+CacheMachine.TestCase.settings = settings(
+    derandomize=True, deadline=None, max_examples=60, stateful_step_count=40,
+)
+TestKvCacheStateAgainstListModel = CacheMachine.TestCase

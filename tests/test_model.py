@@ -157,14 +157,21 @@ class TestAttentionPaths:
         # Engineer one key to repel the next query at every head, check its
         # weight is below 1e-12, then compare decode with and without it.
         model = TinyDecoder(TinyModelConfig(num_layers=1, rng_seed=7))
+        cfg = model.config
         ids = [10, 21, 7, 33, 14, 5, 40]
-        state, _ = _decode_sequence(model, ids[:-1], prompt_len=1)
         next_id, next_pos = ids[-1], len(ids) - 1
-        dry = model.forward_step(copy.deepcopy(state), next_id, next_pos, collect_queries=True)
+        # A 1-layer model's query depends only on the token and its position.
+        u = model._rms(model._w["embed"][next_id], model._w["layers.0.attn_norm"])
+        queries = model._rope((u @ model._w["layers.0.wq"]).reshape(cfg.num_heads, cfg.head_dim), next_pos)
         victim = 3
-        for head in range(model.config.num_heads):
-            query = dry.queries[0, head]
-            state._slots[(0, head)].keys[victim] = -200.0 * query / np.linalg.norm(query)
+        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
+        for position, tid in enumerate(ids[:-1]):
+            out = model.forward_step(state, tid, position)
+            if position == victim:
+                for head in range(cfg.num_heads):
+                    query = queries[head]
+                    out.keys[0, head] = -200.0 * query / np.linalg.norm(query)
+            state.append(position, out.keys, out.values)
         kept = copy.deepcopy(state)
         out_kept = model.forward_step(kept, next_id, next_pos)
         for head in range(model.config.num_heads):
