@@ -240,7 +240,8 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
     If any (layer, head) would exceed max_slots non-prompt live entries
     after the next append, the selector picks exactly the overflow from the
     eligible (non-prompt, non-recent) tokens and those are evicted now.
-    Returns the number of evicted entries.
+    Heads may evict different counts. Every choice is validated before any
+    entry is removed. Returns the number of evicted entries.
     """
     recent = budget.recent_window
     if budget.max_slots < recent:
@@ -248,15 +249,12 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
         )
     recent_floor = state.next_index - recent
-    evictions: dict[tuple[int, int], frozenset[int]] = {}
-    any_overflow = False
+    chosen: list[tuple[int, int, list[int]]] = []
     for layer in range(state.num_layers):
         for head in range(state.num_heads):
             overflow = state.live_nonprompt_count(layer, head) + 1 - budget.max_slots
             if overflow <= 0:
-                evictions[(layer, head)] = frozenset()
                 continue
-            any_overflow = True
             # max_slots >= recent non-prompt tokens are live, so the floor is
             # at or past prompt_len and the slice cannot wrap
             eligible = state._positions(layer, head, state.prompt_len, recent_floor).tolist()
@@ -266,10 +264,16 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
                     f"{len(eligible)} tokens are eligible"
                 )
             victims = list(select_victims(layer, head, eligible, overflow))
-            if len(victims) != overflow or not set(victims) <= set(eligible):
+            picked = set(victims)
+            if len(victims) != overflow or len(picked) != overflow or not picked <= set(eligible):
                 raise ValueError("victim selector returned an invalid choice")
-            evictions[(layer, head)] = frozenset(victims)
-    if not any_overflow:
-        return 0
-    plan = EvictionPlan(state.num_layers, state.num_heads, evictions)
-    return state.apply_plan(plan)
+            if any(state.is_protected(token) for token in picked):
+                raise ProtectedTokenEviction(
+                    f"a victim at ({layer}, {head}) is prompt or recent-window protected"
+                )
+            chosen.append((layer, head, victims))
+    for layer, head, victims in chosen:
+        state.live[layer, head, victims] = False
+    removed = sum(len(victims) for _layer, _head, victims in chosen)
+    state.evicted_total += removed
+    return removed

@@ -231,20 +231,19 @@ def _allocation_to_lists(allocation) -> list:
     ]
 
 
-def _dense_dump(rows: dict[tuple[int, int], dict[int, float]],
-                num_layers: int, num_heads: int, length: int, probe_position: int) -> dict:
+def _dense_dump(rows: np.ndarray, probe_position: int) -> dict:
     return {
-        "layers": num_layers,
-        "heads": num_heads,
+        "layers": rows.shape[0],
+        "heads": rows.shape[1],
         "probe_position": probe_position,
-        "rows": [
-            [
-                [rows[(layer, head)].get(t, 0.0) for t in range(length)]
-                for head in range(num_heads)
-            ]
-            for layer in range(num_layers)
-        ],
+        "rows": rows.tolist(),
     }
+
+
+def _live_weights(state: KvCacheState, rows: np.ndarray, layer: int, head: int) -> dict[int, float]:
+    """{live key token: weight} of one (layer, head) of the last step's rows."""
+    positions = np.flatnonzero(state.live[layer, head, :rows.shape[2]])
+    return dict(zip(positions.tolist(), rows[layer, head, positions].tolist()))
 
 
 def probe_cycle(
@@ -287,15 +286,15 @@ def probe_cycle(
         record.skipped = True
         record.skip_reason = "no-room"
         return record, None
-    pre_live = state.live_sets()
-    last_rows: dict[tuple[int, int], dict[int, float]] | None = None
+    pre_live = state.live[:, :, :base].copy()
+    last_rows: np.ndarray | None = None
     try:
         for offset, (pid, _text) in enumerate(probe_tokens):
             out = decode_step(state, model, pid, base + offset)
             last_rows = out.rows
         record.ran_probe = True
         eligible = eviction_candidates(state, trace, sequence_end=base)
-        rows = [AttentionRow(layer, head, last_rows[(layer, head)])
+        rows = [AttentionRow(layer, head, _live_weights(state, last_rows, layer, head))
                 for layer in range(num_layers) for head in range(num_heads)]
         scores = extract_token_scores(
             rows, trace, eligible, num_layers=num_layers, num_heads=num_heads, reason_end=base
@@ -306,10 +305,7 @@ def probe_cycle(
         record.scores = _scores_to_lists(scores)
         record.step_scores = _step_scores_to_lists(step_scores)
         if keep_dump:
-            record.dump = _dense_dump(
-                last_rows, num_layers, num_heads,
-                base + len(probe_tokens), base + len(probe_tokens) - 1,
-            )
+            record.dump = _dense_dump(last_rows, base + len(probe_tokens) - 1)
         if budget is not None:
             allocation = None
             if policy is PolicyKind.HIERARCHICAL:
@@ -335,12 +331,14 @@ def probe_cycle(
     finally:
         state.remove_suffix(base)
 
-    post_live = state.live_sets()
-    for key, live in post_live.items():
-        if any(t >= base for t in live):
-            raise ProbeLeak(f"probe token survived at (layer, head) {key}")
-        if not live <= pre_live[key]:
-            raise ProbeLeak(f"live set grew during the probe cycle at (layer, head) {key}")
+    leaked = np.argwhere(state.live[:, :, base:])
+    if leaked.size:
+        raise ProbeLeak(f"probe token survived at (layer, head) {tuple(leaked[0, :2].tolist())}")
+    grown = np.argwhere(state.live[:, :, :base] & ~pre_live)
+    if grown.size:
+        raise ProbeLeak(
+            f"live set grew during the probe cycle at (layer, head) {tuple(grown[0, :2].tolist())}"
+        )
     return record, ProbeArtifacts(scores, seg, step_scores)
 
 
@@ -432,8 +430,9 @@ def run(
         tokens.append(Token(position, next_id, token_text(next_id)))
         generated.append(next_id)
         if h2o is not None:
-            for (layer, head), row in out.rows.items():
-                h2o.update(layer, head, row)
+            for layer in range(cfg.num_layers):
+                for head in range(cfg.num_heads):
+                    h2o.update(layer, head, _live_weights(state, out.rows, layer, head))
         if next_id == config.probe.think_end_token_id and reasoning_active:
             reasoning_active = False
             reason_len = len(generated) - 1

@@ -117,8 +117,10 @@ class StepOutput:
     """Result of running one token through the decoder."""
 
     logits: np.ndarray
-    # (layer, head) -> {key token index: attention weight}
-    rows: dict[tuple[int, int], dict[int, float]]
+    # (layers, heads, width) attention weights; column t is key token t and
+    # is exactly 0.0 where token t is not live. width is next_index, plus
+    # one for the token's own key when it joins.
+    rows: np.ndarray
     keys: np.ndarray | None
     values: np.ndarray | None
 
@@ -130,12 +132,6 @@ def _silu(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = x[~pos] * ex / (1.0 + ex)
     return out
-
-
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
 
 
 class TinyDecoder:
@@ -204,21 +200,29 @@ class TinyDecoder:
     ) -> StepOutput:
         """One token forward over the live cache entries.
 
-        With include_new_kv the token's own key/value join the attention and
-        are returned for the caller to commit; without it the token is
-        assumed to be (possibly partially) represented in the cache already,
-        and attention runs over the live entries alone.
+        Each layer runs one masked attention over all heads against the
+        cache's first next_index positions, with dead positions scored -inf.
+        With include_new_kv the token's own key/value join as the next column
+        and are returned for the caller to commit, so position must be the
+        cache's next_index; without it the token is assumed to be (possibly
+        partially) represented in the cache already, and attention runs over
+        the live entries alone.
         """
         cfg = self.config
         if position >= cfg.max_seq_len:
             raise SequenceTooLong(
                 f"position {position} exceeds max_seq_len {cfg.max_seq_len}"
             )
+        n = cache.next_index
+        if include_new_kv and position != n:
+            raise ValueError(f"a new key/value must join at position {n}, got {position}")
         num_heads, head_dim = cfg.num_heads, cfg.head_dim
         x = self._w["embed"][token_id].copy()
-        rows: dict[tuple[int, int], dict[int, float]] = {}
+        width = n + 1 if include_new_kv else n
+        rows = np.empty((cfg.num_layers, num_heads, width))
         new_keys = np.empty((cfg.num_layers, num_heads, head_dim)) if include_new_kv else None
         new_values = np.empty_like(new_keys) if include_new_kv else None
+        new_live = np.ones((num_heads, 1), dtype=bool)
         inv_scale = 1.0 / math.sqrt(head_dim)
         for layer in range(cfg.num_layers):
             u = self._rms(x, self._w[f"layers.{layer}.attn_norm"])
@@ -227,18 +231,24 @@ class TinyDecoder:
             v = (u @ self._w[f"layers.{layer}.wv"]).reshape(num_heads, head_dim)
             q = self._rope(q, position)
             k = self._rope(k, position)
-            attn_out = np.empty((num_heads, head_dim))
-            for head in range(num_heads):
-                indices, key_mat, val_mat = cache.live_arrays(layer, head)
-                if include_new_kv:
-                    key_mat = np.vstack([key_mat, k[head][None, :]])
-                    val_mat = np.vstack([val_mat, v[head][None, :]])
-                    indices = indices + [position]
-                if not indices:
-                    raise ValueError(f"no live keys to attend to at ({layer}, {head})")
-                weights = _softmax(key_mat @ q[head] * inv_scale)
-                rows[(layer, head)] = dict(zip(indices, weights.tolist()))
-                attn_out[head] = weights @ val_mat
+            key_mat = cache.keys[layer, :, :n]
+            val_mat = cache.values[layer, :, :n]
+            live = cache.live[layer, :, :n]
+            if include_new_kv:
+                # the new key and value go through the same products as the
+                # cached ones, so a later requery of this token is bitwise equal
+                key_mat = np.concatenate([key_mat, k[:, None, :]], axis=1)
+                val_mat = np.concatenate([val_mat, v[:, None, :]], axis=1)
+                live = np.concatenate([live, new_live], axis=1)
+            else:
+                empty = np.flatnonzero(~live.any(axis=1))
+                if empty.size:
+                    raise ValueError(f"no live keys to attend to at ({layer}, {int(empty[0])})")
+            scores = np.where(live, (key_mat @ q[:, :, None])[:, :, 0] * inv_scale, -np.inf)
+            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+            weights /= weights.sum(axis=1, keepdims=True)
+            rows[layer] = weights
+            attn_out = (weights[:, None, :] @ val_mat)[:, 0, :]
             x = x + attn_out.reshape(cfg.model_dim) @ self._w[f"layers.{layer}.wo"]
             u2 = self._rms(x, self._w[f"layers.{layer}.mlp_norm"])
             x = x + _silu(u2 @ self._w[f"layers.{layer}.mlp_in"]) @ self._w[f"layers.{layer}.mlp_out"]

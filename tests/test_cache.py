@@ -201,6 +201,31 @@ class TestEnforceBudget:
         after = state.live_sets()
         assert {key: before[key] - after[key] for key in before} == dict(plan.evicted)
 
+    def test_heads_of_a_layer_may_evict_different_counts(self):
+        # Random victims leave token 3 live in head 1 only, so the suffix
+        # removal leaves the two heads of layer 0 with different live counts.
+        state = fill_cache(1, 2, 4, prompt_len=0, total=4)
+        assert enforce_budget(state, CacheBudget(max_slots=2, recent_window=0),
+                              random_victims((0,))) == 6
+        assert state.live_sets() == {(0, 0): frozenset({0}), (0, 1): frozenset({3})}
+        state.remove_suffix(3)
+        assert enforce_budget(state, CacheBudget(max_slots=1, recent_window=0), oldest_first) == 1
+        assert state.live_sets() == {(0, 0): frozenset(), (0, 1): frozenset()}
+        assert state.evicted_total == 7
+
+    def test_invalid_choice_leaves_state_unchanged(self):
+        state = fill_cache(1, 2, 4, prompt_len=1, total=8)
+        budget = CacheBudget(max_slots=6, recent_window=0)
+
+        def bad_second_head(layer, head, eligible, count):
+            return eligible[:count] if head == 0 else [0] * count
+
+        before = state.live_sets()
+        with pytest.raises(ValueError):
+            enforce_budget(state, budget, bad_second_head)
+        assert state.live_sets() == before
+        assert state.evicted_total == 0
+
     def test_ratio_resolution_and_default_window(self):
         budget = CacheBudget.from_ratio(0.25, 130.0)
         assert budget.max_slots == 32

@@ -152,18 +152,8 @@ class CacheMachine(RuleBasedStateMachine):
         eligible = {key: [t for t in model.tokens(key)
                           if model.prompt_len <= t < model.next_index - recent]
                     for key in model.heads}
-        # The evictions form one EvictionPlan, whose heads must evict equally
-        # within a layer; heads of a layer only hold different live counts
-        # after a suffix removal reaches below an earlier eviction.
-        sizes = {(layer, overflow[(layer, head)]) for layer, head in model.heads}
         if max_slots < recent or any(overflow[key] > len(eligible[key]) for key in model.heads):
-            error = BudgetInfeasible
-        elif len(sizes) > len({layer for layer, _size in sizes}):
-            error = ValueError
-        else:
-            error = None
-        if error is not None:
-            expect_rejection(error, lambda: enforce_budget(self.cache, budget, select))
+            expect_rejection(BudgetInfeasible, lambda: enforce_budget(self.cache, budget, select))
             return
         evicted = {key: frozenset(select(key[0], key[1], eligible[key], overflow[key]))
                    for key in model.heads if overflow[key]}

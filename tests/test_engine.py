@@ -17,8 +17,9 @@ from thinkprune.engine import (
     requery_logits,
     run,
 )
+from thinkprune.errors import ProbeLeak
 from thinkprune.model import THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
-from thinkprune.policy import EvictionBudget, PolicyKind
+from thinkprune.policy import EvictionBudget, EvictionPlan, PolicyKind
 from thinkprune.scoring import default_probe
 from thinkprune.trace import ReasoningTrace, Token, default_marker_set
 
@@ -209,6 +210,35 @@ class TestProbeCycle:
             assert all(t < base for t in live)
             assert live <= pre[key]
 
+    def test_probe_token_left_live_is_a_leak(self, monkeypatch):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
+        state, trace = self._prefill(model, texts)
+        remove_suffix = KvCacheState.remove_suffix
+        # retract every probe token but the first
+        monkeypatch.setattr(KvCacheState, "remove_suffix",
+                            lambda self, start: remove_suffix(self, start + 1))
+        with pytest.raises(ProbeLeak, match=r"survived at \(layer, head\) \(0, 0\)"):
+            probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+                        PolicyKind.HIERARCHICAL, EvictionBudget(0))
+
+    def test_revived_key_is_a_leak(self, monkeypatch):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
+        state, trace = self._prefill(model, texts)
+        state.apply_plan(EvictionPlan(2, 2, {(l, h): frozenset({3}) for l in range(2) for h in range(2)}))
+        remove_suffix = KvCacheState.remove_suffix
+
+        def revive(self, start):
+            removed = remove_suffix(self, start)
+            self.live[1, 0, 3] = True
+            return removed
+
+        monkeypatch.setattr(KvCacheState, "remove_suffix", revive)
+        with pytest.raises(ProbeLeak, match=r"grew .* \(1, 0\)"):
+            probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+                        PolicyKind.HIERARCHICAL, EvictionBudget(0))
+
     def test_score_refresh_mode_evicts_nothing(self):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
@@ -305,8 +335,11 @@ class TestH2OWiring:
         rows_per_slot: dict[tuple[int, int], list[dict[int, float]]] = {}
         for j, tid in enumerate(record.generated_ids[:interval]):
             out = decode_step(state, model, tid, len(prompt_tokens) + j)
-            for key, row in out.rows.items():
-                rows_per_slot.setdefault(key, []).append(row)
+            # nothing is evicted before the first round, so every column is live
+            for layer in range(cfg.num_layers):
+                for head in range(cfg.num_heads):
+                    row = dict(enumerate(out.rows[layer, head].tolist()))
+                    rows_per_slot.setdefault((layer, head), []).append(row)
 
         reason_start = len(prompt_tokens)
         seq_len = reason_start + interval

@@ -138,8 +138,11 @@ class TestAttentionPaths:
         victims = frozenset(set(range(5)) - {keep})
         state.apply_plan(EvictionPlan(1, 2, {(0, 0): victims, (0, 1): victims}))
         out = model.forward_step(state, 9, 5, include_new_kv=False)
+        one_hot = [0.0] * 5
+        one_hot[keep] = 1.0
+        assert out.rows.shape == (1, 2, 5)
         for head in range(2):
-            assert out.rows[(0, head)] == {keep: 1.0}
+            assert out.rows[0, head].tolist() == one_hot
 
     def test_single_key_attention_output_is_that_value_vector(self):
         model = TinyDecoder(TinyModelConfig(num_layers=1, rng_seed=1))
@@ -148,10 +151,9 @@ class TestAttentionPaths:
         state.apply_plan(EvictionPlan(1, 2, {(0, 0): frozenset({0, 2}), (0, 1): frozenset({0, 2})}))
         # with one live key the softmax weight is exactly 1, so the head
         # reads out exactly the stored value vector
-        _, keys, values = state.live_arrays(0, 0)
-        assert keys.shape == (1, model.config.head_dim)
+        assert state.live_indices(0, 0) == (1,)
         out = model.forward_step(state, 9, 3, include_new_kv=False)
-        assert out.rows[(0, 0)] == {1: 1.0}
+        assert out.rows[0, 0].tolist() == [0.0, 1.0, 0.0]
 
     def test_evicting_zero_attention_key_barely_moves_logits(self):
         # Engineer one key to repel the next query at every head, check its
@@ -175,7 +177,7 @@ class TestAttentionPaths:
         kept = copy.deepcopy(state)
         out_kept = model.forward_step(kept, next_id, next_pos)
         for head in range(model.config.num_heads):
-            assert out_kept.rows[(0, head)][victim] < 1e-12
+            assert out_kept.rows[0, head, victim] < 1e-12
         pruned = copy.deepcopy(state)
         pruned.apply_plan(EvictionPlan(1, 2, {
             (0, 0): frozenset({victim}), (0, 1): frozenset({victim}),
@@ -183,6 +185,42 @@ class TestAttentionPaths:
         out_pruned = model.forward_step(pruned, next_id, next_pos)
         rel = np.max(np.abs(out_kept.logits - out_pruned.logits) / (np.abs(out_pruned.logits) + 1e-9))
         assert rel < 1e-6
+
+    @pytest.mark.parametrize("include_new_kv", [True, False])
+    def test_rows_are_dense_and_zero_where_not_live(self, include_new_kv):
+        model = TinyDecoder(TinyModelConfig(rng_seed=5))
+        cfg = model.config
+        ids = [10, 21, 7, 33, 14, 5]
+        state, _ = _decode_sequence(model, ids)
+        victims = {(0, 0): frozenset({1, 4}), (0, 1): frozenset({2, 3}),
+                   (1, 0): frozenset({0}), (1, 1): frozenset({5})}
+        state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, victims))
+        position = 6 if include_new_kv else 5
+        out = model.forward_step(state, 9, position, include_new_kv=include_new_kv)
+        width = 7 if include_new_kv else 6
+        assert out.rows.shape == (cfg.num_layers, cfg.num_heads, width)
+        for (layer, head), evicted in victims.items():
+            row = out.rows[layer, head]
+            for t in range(width):
+                if t in evicted:
+                    assert row[t] == 0.0
+                else:
+                    assert row[t] > 0.0
+            assert abs(row.sum() - 1.0) < 1e-12
+
+    def test_head_without_live_keys_is_rejected(self):
+        model = TinyDecoder(TinyModelConfig(num_layers=1, rng_seed=1))
+        state, _ = _decode_sequence(model, [10, 21, 7])
+        state.live[0, 1] = False
+        with pytest.raises(ValueError, match=r"no live keys to attend to at \(0, 1\)"):
+            model.forward_step(state, 9, 2, include_new_kv=False)
+
+    @pytest.mark.parametrize("position", [2, 4])
+    def test_new_key_must_join_at_the_next_index(self, position):
+        model = TinyDecoder(TinyModelConfig(rng_seed=1))
+        state, _ = _decode_sequence(model, [10, 21, 7])
+        with pytest.raises(ValueError, match="position 3"):
+            model.forward_step(state, 9, position)
 
     def test_positions_are_retained_after_eviction(self):
         # Evicting token 1 must leave survivors at their original rotary

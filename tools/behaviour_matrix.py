@@ -1,0 +1,141 @@
+"""Record run records over a fixed matrix of cells, and compare two recordings.
+
+    python3 tools/behaviour_matrix.py record out.json
+    python3 tools/behaviour_matrix.py compare parent.json change.json
+
+`record` runs every cell against the library in this checkout's `src/`
+and writes {cell name: record.to_dict()}. The matrix: the full-cache run,
+and each of ours/random/h2o/streaming under periodic budgets (k, interval,
+recent window) in {(0, 8, 0), (3, 8, 0) with attention dumps, (8, 16, 4),
+(5, 6, 0)} and under ratio caps 0.3 and 0.6 of the full run's average
+occupancy; greedy and sampled decoding; model seeds 0 and 1; two prompts;
+80 new tokens; 2 layers x 3 heads. That is 200 cells.
+
+`compare` checks that the two files hold the same cells, that the float
+fields (`scores`, `step_scores`, `dump` in each probe round) agree within
+1e-12, and that every other field matches exactly, except `scores_digest`,
+which hashes the float scores. It prints how many cells are byte-identical
+and exits 1 on any mismatch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from thinkprune.cache import CacheBudget  # noqa: E402
+from thinkprune.engine import DecodeConfig, run  # noqa: E402
+from thinkprune.model import TinyModelConfig  # noqa: E402
+from thinkprune.policy import EvictionBudget, PolicyKind  # noqa: E402
+from thinkprune.scoring import default_probe  # noqa: E402
+
+PROMPTS = (
+    "Solve: compute two plus two. First add, then check the sum again.",
+    "Problem: a value x times three equals six. So what is x? Let me see.",
+)
+PERIODIC = ((0, 8, 0, False), (3, 8, 0, True), (8, 16, 4, False), (5, 6, 0, False))
+RATIOS = (0.3, 0.6)
+RATIO_INTERVAL = 8
+MAX_NEW = 80
+FLOAT_FIELDS = ("scores", "step_scores", "dump")
+FLOAT_TOLERANCE = 1e-12
+
+
+def _config(greedy: bool, interval: int = RATIO_INTERVAL, **kw) -> DecodeConfig:
+    return DecodeConfig(max_new_tokens=MAX_NEW, probe=default_probe(interval_p=interval),
+                        greedy=greedy, sampling_seed=5, eviction_seed=3, **kw)
+
+
+def record_matrix() -> dict[str, dict]:
+    cells: dict[str, dict] = {}
+    for model_seed in (0, 1):
+        model = TinyModelConfig(num_layers=2, num_heads=3, model_dim=48, head_dim=16,
+                                rng_seed=model_seed)
+        for prompt_index, prompt in enumerate(PROMPTS):
+            for greedy in (True, False):
+                prefix = f"m{model_seed}/p{prompt_index}/{'greedy' if greedy else 'sampled'}"
+                full = run(model, prompt, _config(greedy))
+                cells[f"{prefix}/full"] = full.to_dict()
+                for policy in PolicyKind:
+                    for k, interval, recent, dumps in PERIODIC:
+                        record = run(model, prompt, _config(
+                            greedy, policy=policy, budget=EvictionBudget(k), interval=interval,
+                            recent_window=recent, keep_dumps=dumps))
+                        cells[f"{prefix}/{policy.value}/k{k}-i{interval}-r{recent}"] = record.to_dict()
+                    for ratio in RATIOS:
+                        budget = CacheBudget.from_ratio(ratio, full.avg_kv)
+                        record = run(model, prompt, _config(greedy, policy=policy, budget=budget))
+                        cells[f"{prefix}/{policy.value}/ratio{ratio}"] = record.to_dict()
+    return cells
+
+
+def _float_diff(a, b) -> float:
+    """Largest absolute difference between two equally nested number lists or dicts."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return float("inf")
+        return max((_float_diff(a[key], b[key]) for key in a), default=0.0)
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return float("inf")
+        return max((_float_diff(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(a - b)
+    return 0.0 if a == b else float("inf")
+
+
+def compare(parent: dict[str, dict], change: dict[str, dict]) -> tuple[list[str], float, int]:
+    """Return (exact-field mismatches, largest float difference, byte-identical cells)."""
+    mismatches = [f"{name}: missing from one side" for name in sorted(parent.keys() ^ change.keys())]
+    worst = 0.0
+    identical = 0
+    for name in sorted(parent.keys() & change.keys()):
+        a, b = parent[name], change[name]
+        identical += json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        for key in sorted(a.keys() | b.keys()):
+            if key != "probe_records" and a.get(key) != b.get(key):
+                mismatches.append(f"{name}: {key}")
+        rounds_a, rounds_b = a.get("probe_records", []), b.get("probe_records", [])
+        if len(rounds_a) != len(rounds_b):
+            mismatches.append(f"{name}: probe round count")
+            continue
+        for index, (ra, rb) in enumerate(zip(rounds_a, rounds_b)):
+            for key in sorted(ra.keys() | rb.keys()):
+                if key in FLOAT_FIELDS:
+                    worst = max(worst, _float_diff(ra.get(key), rb.get(key)))
+                elif key != "scores_digest" and ra.get(key) != rb.get(key):
+                    mismatches.append(f"{name}: round {index} {key}")
+    return mismatches, worst, identical
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run the matrix and write the records")
+    rec.add_argument("out")
+    cmp_ = sub.add_parser("compare", help="compare two recordings")
+    cmp_.add_argument("parent")
+    cmp_.add_argument("change")
+    args = parser.parse_args(argv)
+
+    if args.command == "record":
+        cells = record_matrix()
+        Path(args.out).write_text(json.dumps(cells, sort_keys=True))
+        print(f"recorded {len(cells)} cells to {args.out}")
+        return 0
+    parent = json.loads(Path(args.parent).read_text())
+    change = json.loads(Path(args.change).read_text())
+    mismatches, worst, identical = compare(parent, change)
+    for line in mismatches:
+        print(f"mismatch {line}")
+    print(f"cells: {len(parent)} vs {len(change)}; byte-identical: {identical}; "
+          f"exact-field mismatches: {len(mismatches)}; max float difference: {worst:.3g}")
+    return 0 if not mismatches and worst <= FLOAT_TOLERANCE else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
