@@ -21,7 +21,6 @@ from .errors import (
     BudgetInfeasible,
     EmptyReasoningRegion,
     InputFormatError,
-    MissingHead,
     NonNormalizedRow,
     OffsetOutOfRange,
     ProbeLeak,
@@ -47,7 +46,6 @@ from .policy import (
 )
 from .scoring import (
     AttentionDump,
-    AttentionRow,
     ProbeConfig,
     ScoreTensor,
     StepScores,

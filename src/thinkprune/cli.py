@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import CacheBudget
-from .engine import FULL_KV_NAME, DecodeConfig, RunRecord, run
+from .engine import FULL_KV_NAME, DecodeConfig, RunRecord, plan_round, run
 from .errors import (
     BudgetExceedsStep,
     BudgetInfeasible,
     EmptyReasoningRegion,
     InputFormatError,
-    MissingHead,
     NonNormalizedRow,
     OffsetOutOfRange,
     ProbeLeak,
@@ -33,16 +32,7 @@ from .errors import (
     UnknownToken,
 )
 from .model import TinyModelConfig
-from .policy import (
-    EvictionBudget,
-    PolicyKind,
-    allocate,
-    plan_from_allocation,
-    plan_h2o,
-    plan_random,
-    plan_streaming,
-    plan_to_dict,
-)
+from .policy import EvictionBudget, PolicyKind, plan_to_dict
 from .scoring import (
     ScoreTensor,
     THINK_END_TEXT,
@@ -66,7 +56,6 @@ _INPUT_ERRORS = (
     InputFormatError,
     EmptyReasoningRegion,
     OffsetOutOfRange,
-    MissingHead,
     NonNormalizedRow,
     OSError,
     json.JSONDecodeError,
@@ -165,19 +154,14 @@ def _find_reason_end(trace) -> int | None:
 
 
 def _score_trace_against_dump(trace, dump) -> ScoreTensor:
-    if dump.row_len < len(trace.tokens):
+    row_len = dump.rows.shape[2]
+    if row_len < len(trace.tokens):
         raise InputFormatError(
-            f'dump field "rows" covers {dump.row_len} positions but the trace has '
+            f'dump field "rows" covers {row_len} positions but the trace has '
             f"{len(trace.tokens)} tokens"
         )
-    return extract_token_scores(
-        dump.to_rows(),
-        trace,
-        live_everywhere,
-        num_layers=dump.num_layers,
-        num_heads=dump.num_heads,
-        reason_end=_find_reason_end(trace),
-    )
+    return extract_token_scores(dump.rows, trace, live_everywhere,
+                                reason_end=_find_reason_end(trace))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -217,42 +201,31 @@ def cmd_score(args) -> int:
 def cmd_plan(args) -> int:
     trace = load_trace(args.trace)
     markers = _load_marker_set(args)
-    if args.scores:
-        scores = load_scores(args.scores)
-    elif args.dump:
-        scores = _score_trace_against_dump(trace, load_attention_dump(args.dump))
-    else:
-        scores = None
     policy = PolicyKind(args.policy)
-    budget = EvictionBudget(args.budget)
     seq_len = len(trace.tokens)
-
-    if scores is not None:
-        num_layers, num_heads = scores.num_layers, scores.num_heads
+    if args.scores or args.dump:
+        if args.scores:
+            scores = load_scores(args.scores)
+        else:
+            scores = _score_trace_against_dump(trace, load_attention_dump(args.dump))
         live = _scored_predicate(scores)
+    elif policy in (PolicyKind.HIERARCHICAL, PolicyKind.H2O):
+        raise InputFormatError(f'policy "{policy.value}" needs --scores or --dump')
     else:
-        if policy in (PolicyKind.HIERARCHICAL, PolicyKind.H2O):
-            raise InputFormatError(f'policy "{policy.value}" needs --scores or --dump')
-        num_layers, num_heads = args.layers, args.heads
+        # random and streaming read only the tensor's dimensions
+        scores = ScoreTensor(args.layers, args.heads, {})
         reason_end = _find_reason_end(trace)
         bound = seq_len if reason_end is None else reason_end
 
         def live(layer: int, head: int, token: int) -> bool:
             return trace.reason_start <= token < bound
 
-    allocation = None
+    seg = step_scores = None
     if policy is PolicyKind.HIERARCHICAL:
         seg = segment(trace, markers)
         step_scores = aggregate_step_scores(scores, seg, live)
-        allocation = allocate(step_scores, seg, live, budget)
-        plan = plan_from_allocation(scores, seg, live, allocation)
-    elif policy is PolicyKind.H2O:
-        plan = plan_h2o(scores, seq_len, live, budget)
-    elif policy is PolicyKind.RANDOM:
-        plan = plan_random(num_layers, num_heads, seq_len, live, budget, args.seed)
-    else:
-        keep_first = trace.prompt_len if args.keep_first is None else args.keep_first
-        plan = plan_streaming(num_layers, num_heads, seq_len, live, keep_first, args.keep_recent)
+    plan, allocation = plan_round(policy, scores, seg, step_scores, live, seq_len,
+                                  EvictionBudget(args.budget), args.seed)
 
     payload = plan_to_dict(plan, allocation)
     print(json.dumps(payload, sort_keys=True, indent=2))
@@ -295,6 +268,9 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.budget is not None and args.ratio is not None:
         raise InputFormatError("--budget and --ratio are mutually exclusive")
+    if args.ratio is not None and args.recent:
+        raise InputFormatError("--recent applies to --budget runs; a --ratio cap protects "
+                               "half of its slots as the recent window")
     policies = _SWEEP_POLICIES.copy() if args.policy == "all" else args.policy.split(",")
     for name in policies:
         if name != FULL_KV_NAME and name not in PolicyKind._value2member_map_:
@@ -384,7 +360,11 @@ def cmd_report(args) -> int:
     records = []
     for path in args.records:
         with open(path, encoding="utf-8") as fh:
-            records.append(RunRecord.from_dict(json.load(fh)))
+            data = json.load(fh)
+        try:
+            records.append(RunRecord.from_dict(data))
+        except (TypeError, AttributeError) as exc:
+            raise InputFormatError(f"{path} is not a run record: {exc}") from exc
     out = _out_dir(args) or Path("thinkprune_out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -475,12 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=[kind.value for kind in PolicyKind])
     p_plan.add_argument("--budget", type=int, required=True, help="tokens to evict per (layer, head)")
     p_plan.add_argument("--seed", type=int, default=0)
-    p_plan.add_argument("--layers", type=int, default=1)
-    p_plan.add_argument("--heads", type=int, default=1)
-    p_plan.add_argument("--keep-first", type=int, default=None,
-                        help="streaming: tokens kept at the start (default: prompt length)")
-    p_plan.add_argument("--keep-recent", type=int, default=0,
-                        help="streaming: most recent tokens kept")
+    p_plan.add_argument("--layers", type=int, default=1,
+                        help="random/streaming without --scores or --dump")
+    p_plan.add_argument("--heads", type=int, default=1,
+                        help="random/streaming without --scores or --dump")
     p_plan.add_argument("--out")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -492,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--interval", type=int, default=16, help="probe interval in reasoning tokens")
     p_run.add_argument("--prompt", default="Solve: compute two plus two.")
     p_run.add_argument("--max-new", type=int, default=64)
-    p_run.add_argument("--recent", type=int, default=0, help="protected recent window (periodic mode)")
+    p_run.add_argument("--recent", type=int, default=0, help="protected recent window (--budget only)")
     p_run.add_argument("--vocab", type=int, default=64)
     p_run.add_argument("--layers", type=int, default=2)
     p_run.add_argument("--heads", type=int, default=2)

@@ -19,8 +19,10 @@ from .errors import ProbeLeak
 from .model import EOS_ID, StepOutput, TinyDecoder, TinyModelConfig, token_text, tokenize
 from .policy import (
     EvictionBudget,
+    EvictionPlan,
     H2OAccumulator,
     PolicyKind,
+    StepAllocation,
     VictimSelector,
     allocate,
     h2o_scores,
@@ -34,7 +36,7 @@ from .policy import (
     round_ranking,
 )
 from .scoring import (
-    AttentionRow,
+    LivePredicate,
     ProbeConfig,
     ScoreTensor,
     StepScores,
@@ -71,6 +73,9 @@ class DecodeConfig:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.recent_window < 0:
             raise ValueError("recent_window must be >= 0")
+        if self.recent_window > 0 and isinstance(self.budget, CacheBudget):
+            raise ValueError("recent_window applies to periodic budgets; a CacheBudget "
+                             "carries its own recent_window")
         if self.policy is None:
             if self.budget is not None:
                 raise ValueError("a budget without a policy has no effect; drop one")
@@ -91,7 +96,6 @@ class ProbeRecord:
     ran_probe: bool = False
     skipped: bool = False
     skip_reason: str | None = None
-    scores_digest: str | None = None
     scores: list | None = None
     step_scores: list | None = None
     allocation: list | None = None
@@ -106,6 +110,8 @@ class ProbeRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeRecord":
+        # records written before the field was retired still carry it
+        data = {key: value for key, value in data.items() if key != "scores_digest"}
         return cls(**data)
 
 
@@ -246,6 +252,36 @@ def _live_weights(state: KvCacheState, rows: np.ndarray, layer: int, head: int) 
     return dict(zip(positions.tolist(), rows[layer, head, positions].tolist()))
 
 
+def plan_round(
+    policy: PolicyKind,
+    scores: ScoreTensor,
+    seg: Segmentation | None,
+    step_scores: StepScores | None,
+    live: LivePredicate,
+    seq_len: int,
+    budget: EvictionBudget,
+    seed: int | tuple[int, ...],
+) -> tuple[EvictionPlan, StepAllocation | None]:
+    """One round's eviction plan under policy, and the hierarchical allocation.
+
+    The one mapping from PolicyKind to planner, shared by probe rounds and
+    `thinkprune plan`. scores ranks victims: probe scores for the
+    hierarchical policy, accumulated attention for h2o; random and
+    streaming read only its dimensions. seg and step_scores are read only
+    by the hierarchical policy, seed only by random.
+    """
+    if policy is PolicyKind.HIERARCHICAL:
+        allocation = allocate(step_scores, seg, live, budget)
+        return plan_from_allocation(scores, seg, live, allocation), allocation
+    if policy is PolicyKind.RANDOM:
+        return plan_random(scores.num_layers, scores.num_heads, seq_len, live, budget, seed), None
+    if policy is PolicyKind.H2O:
+        return plan_h2o(scores, seq_len, live, budget), None
+    if policy is PolicyKind.STREAMING:
+        return plan_oldest(scores.num_layers, scores.num_heads, seq_len, live, budget), None
+    raise ValueError(f"unknown policy {policy!r}")
+
+
 def probe_cycle(
     state: KvCacheState,
     model: TinyDecoder,
@@ -270,7 +306,6 @@ def probe_cycle(
     ("post-reasoning") or the probe would not fit under the model's maximum
     sequence length ("no-room").
     """
-    num_layers, num_heads = state.num_layers, state.num_heads
     reasoning_ids = [tok.id for tok in trace.tokens[trace.reason_start:]]
     record = ProbeRecord(round_index=round_index, reasoning_tokens=len(reasoning_ids))
     if probe.think_end_token_id in reasoning_ids:
@@ -294,35 +329,21 @@ def probe_cycle(
             last_rows = out.rows
         record.ran_probe = True
         eligible = eviction_candidates(state, trace, sequence_end=base)
-        rows = [AttentionRow(layer, head, _live_weights(state, last_rows, layer, head))
-                for layer in range(num_layers) for head in range(num_heads)]
-        scores = extract_token_scores(
-            rows, trace, eligible, num_layers=num_layers, num_heads=num_heads, reason_end=base
-        )
+        scores = extract_token_scores(last_rows, trace, eligible, reason_end=base)
         seg = segment(trace, markers)
         step_scores = aggregate_step_scores(scores, seg, eligible)
-        record.scores_digest = scores.digest()
         record.scores = _scores_to_lists(scores)
         record.step_scores = _step_scores_to_lists(step_scores)
         if keep_dump:
             record.dump = _dense_dump(last_rows, base + len(probe_tokens) - 1)
         if budget is not None:
-            allocation = None
-            if policy is PolicyKind.HIERARCHICAL:
-                allocation = allocate(step_scores, seg, eligible, budget)
-                plan = plan_from_allocation(scores, seg, eligible, allocation)
-            elif policy is PolicyKind.RANDOM:
-                plan = plan_random(num_layers, num_heads, base, eligible, budget,
-                                   (eviction_seed, round_index))
-            elif policy is PolicyKind.H2O:
+            ranking = scores
+            if policy is PolicyKind.H2O:
                 if h2o is None:
                     raise ValueError("the h2o policy needs an H2OAccumulator")
-                acc = h2o_scores(h2o.history(), num_layers, num_heads, eligible)
-                plan = plan_h2o(acc, base, eligible, budget)
-            elif policy is PolicyKind.STREAMING:
-                plan = plan_oldest(num_layers, num_heads, base, eligible, budget)
-            else:
-                raise ValueError(f"unknown policy {policy!r}")
+                ranking = h2o_scores(h2o.history(), state.num_layers, state.num_heads, eligible)
+            plan, allocation = plan_round(policy, ranking, seg, step_scores, eligible, base,
+                                          budget, (eviction_seed, round_index))
             state.apply_plan(plan, sequence_end=base)
             if allocation is not None:
                 record.allocation = _allocation_to_lists(allocation)

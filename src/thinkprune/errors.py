@@ -17,10 +17,6 @@ class OffsetOutOfRange(PruneError):
     """A character offset falls outside the trace text."""
 
 
-class MissingHead(PruneError):
-    """An attention row for some (layer, head) pair was not supplied."""
-
-
 class NonNormalizedRow(PruneError):
     """An attention row's weights do not sum to one within tolerance."""
 

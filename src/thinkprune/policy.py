@@ -4,7 +4,8 @@ The hierarchical policy sorts steps by ascending step score per layer,
 greedily assigns the per-layer eviction budget to the most redundant steps
 first, then evicts the lowest-scoring tokens inside each allocated step
 independently per head. Random, accumulated-attention (h2o) and
-first/recent retention (streaming) baselines share the plan type.
+oldest-first (streaming) baselines share the plan type; plan_streaming
+is the unbudgeted first/recent window form of streaming.
 
 Each baseline's victim rule is one VictimSelector. Periodic rounds apply it
 through plan_by_selector; ratio caps pass the same selector to

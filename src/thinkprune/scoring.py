@@ -8,14 +8,15 @@ over a step's live tokens and all heads of a layer.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputFormatError, MissingHead, NonNormalizedRow
+import numpy as np
+
+from .errors import InputFormatError, NonNormalizedRow
 from .trace import ReasoningTrace, Segmentation
 
 THINK_END_TEXT = "</think>"
@@ -70,19 +71,6 @@ def default_probe(
 
 
 @dataclass(frozen=True)
-class AttentionRow:
-    """Attention weights from one query position at one (layer, head).
-
-    weights maps live key token index -> softmax weight; the full row
-    (including prompt and probe keys) sums to one within tolerance.
-    """
-
-    layer: int
-    head: int
-    weights: Mapping[int, float]
-
-
-@dataclass(frozen=True)
 class ScoreTensor:
     """Per-(layer, head) importance score of every live reasoning token."""
 
@@ -103,15 +91,6 @@ class ScoreTensor:
     def head_scores(self, layer: int, head: int) -> Mapping[int, float]:
         return self.scores.get((layer, head), {})
 
-    def digest(self) -> str:
-        """Stable content hash of the tensor (sorted keys, repr floats)."""
-        payload = [
-            [layer, head, sorted(self.scores[(layer, head)].items())]
-            for layer, head in sorted(self.scores)
-        ]
-        blob = json.dumps([self.num_layers, self.num_heads, payload])
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
 
 @dataclass(frozen=True)
 class StepScores:
@@ -124,39 +103,35 @@ class StepScores:
 
 
 def extract_token_scores(
-    rows: Iterable[AttentionRow],
+    rows: np.ndarray,
     trace: ReasoningTrace,
     live: LivePredicate,
     *,
-    num_layers: int,
-    num_heads: int,
     reason_end: int | None = None,
 ) -> ScoreTensor:
-    """Read the probe token's attention rows into a ScoreTensor.
+    """Read the probe token's dense attention rows into a ScoreTensor.
 
-    Every (layer, head) must be covered by exactly one row taken at the
-    probe's end-of-thinking position. Only live reasoning tokens in
-    [reason_start, reason_end) receive entries; mass on prompt, probe, and
-    post-reasoning keys is read (it participates in the row-sum check) but
-    never scored.
+    rows has shape (layers, heads, keys): column t is the weight on key
+    token t, taken at the probe's end-of-thinking position, and each row
+    sums to one. Only live reasoning tokens in [reason_start, reason_end)
+    receive entries; mass on prompt, probe, and post-reasoning keys is read
+    (it participates in the row-sum check) but never scored.
     """
-    table: dict[tuple[int, int], AttentionRow] = {}
-    for row in rows:
-        table[(row.layer, row.head)] = row
+    num_layers, num_heads, width = rows.shape
     end = len(trace.tokens) if reason_end is None else reason_end
+    if end > width:
+        raise ValueError(f"attention rows cover {width} keys, the reasoning region ends at {end}")
     scores: dict[tuple[int, int], dict[int, float]] = {}
     for layer in range(num_layers):
         for head in range(num_heads):
-            row = table.get((layer, head))
-            if row is None:
-                raise MissingHead(f"no attention row for layer {layer}, head {head}")
-            total = math.fsum(row.weights.values())
+            row = rows[layer, head].tolist()
+            total = math.fsum(row)
             if abs(total - 1.0) > ROW_SUM_TOLERANCE:
                 raise NonNormalizedRow(
                     f"attention row at layer {layer}, head {head} sums to {total!r}"
                 )
             scores[(layer, head)] = {
-                token: float(row.weights.get(token, 0.0))
+                token: row[token]
                 for token in range(trace.reason_start, end)
                 if live(layer, head, token)
             }
@@ -214,23 +189,10 @@ def ranked_step_order(step_scores: StepScores, layer: int) -> list[tuple[int, fl
 
 @dataclass(frozen=True)
 class AttentionDump:
-    """Dense per-(layer, head) attention rows of a probe's trigger position."""
+    """Dense attention rows of a probe's trigger position, shape (layers, heads, keys)."""
 
-    num_layers: int
-    num_heads: int
     probe_position: int
-    rows: tuple[tuple[tuple[float, ...], ...], ...]
-
-    @property
-    def row_len(self) -> int:
-        return len(self.rows[0][0]) if self.rows and self.rows[0] else 0
-
-    def to_rows(self) -> list[AttentionRow]:
-        return [
-            AttentionRow(layer, head, dict(enumerate(self.rows[layer][head])))
-            for layer in range(self.num_layers)
-            for head in range(self.num_heads)
-        ]
+    rows: np.ndarray
 
 
 def dump_from_dict(data: object) -> AttentionDump:
@@ -248,11 +210,9 @@ def dump_from_dict(data: object) -> AttentionDump:
     if not isinstance(rows, list) or len(rows) != layers:
         raise InputFormatError(f'dump field "rows" must be a list of {layers} layer entries')
     row_len: int | None = None
-    clean_layers = []
     for li, layer_rows in enumerate(rows):
         if not isinstance(layer_rows, list) or len(layer_rows) != heads:
             raise InputFormatError(f'dump field "rows[{li}]" must be a list of {heads} head rows')
-        clean_heads = []
         for hi, head_row in enumerate(layer_rows):
             if not isinstance(head_row, list) or not all(
                 isinstance(w, (int, float)) and not isinstance(w, bool) for w in head_row
@@ -264,31 +224,16 @@ def dump_from_dict(data: object) -> AttentionDump:
                 raise InputFormatError(
                     f'dump field "rows[{li}][{hi}]" has length {len(head_row)}, expected {row_len}'
                 )
-            clean_heads.append(tuple(float(w) for w in head_row))
-        clean_layers.append(tuple(clean_heads))
     if row_len is None or row_len == 0:
         raise InputFormatError('dump field "rows" must contain non-empty rows')
     if probe_position >= row_len:
         raise InputFormatError('dump field "probe_position" must be smaller than the row length')
-    return AttentionDump(layers, heads, probe_position, tuple(clean_layers))
-
-
-def dump_to_dict(dump: AttentionDump) -> dict:
-    return {
-        "layers": dump.num_layers,
-        "heads": dump.num_heads,
-        "probe_position": dump.probe_position,
-        "rows": [[list(head_row) for head_row in layer_rows] for layer_rows in dump.rows],
-    }
+    return AttentionDump(probe_position, np.array(rows, dtype=float))
 
 
 def load_attention_dump(path: str | Path) -> AttentionDump:
     with open(path, encoding="utf-8") as fh:
         return dump_from_dict(json.load(fh))
-
-
-def save_attention_dump(dump: AttentionDump, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(dump_to_dict(dump)), encoding="utf-8")
 
 
 def scores_to_dict(tensor: ScoreTensor) -> dict:

@@ -158,11 +158,13 @@ class TestPlanCommand:
         assert capsys.readouterr().out == first
 
     def test_streaming_plan_of_middle(self, trace_file, capsys):
+        # streaming keeps the prompt and drains the k oldest reasoning
+        # tokens, the same rule as run's probe rounds
         assert main(["plan", "--trace", str(trace_file), "--policy", "streaming",
-                     "--budget", "0", "--keep-recent", "3"]) == EXIT_OK
+                     "--budget", "4", "--layers", "2", "--heads", "2"]) == EXIT_OK
         data = json.loads(capsys.readouterr().out)
-        n = len(THREE_MARKER_TEXTS)
-        assert data["layers"][0]["heads"][0] == list(range(1, n - 3))
+        assert data["allocation"] is None
+        assert [layer["heads"] for layer in data["layers"]] == [[[1, 2, 3, 4]] * 2] * 2
 
     def test_ours_without_scores_exits_2(self, trace_file, capsys):
         assert main(["plan", "--trace", str(trace_file), "--policy", "ours",
@@ -215,6 +217,13 @@ class TestRunCommand:
         assert all(row[3] <= cap for row in ours["occupancy"])
         prompt_len = ours["prompt_len"]
         assert ours["peak_kv"] - prompt_len <= cap
+
+    def test_recent_with_ratio_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--policy", "ours", "--ratio", "0.5", "--recent", "6",
+                     "--max-new", "8", "--out", str(out)]) == EXIT_INPUT
+        assert "--recent" in capsys.readouterr().err
+        assert not (out / "run_full.json").exists()
 
     def test_pruning_without_budget_exits_2(self, tmp_path, capsys):
         assert main(["run", "--policy", "ours", "--out", str(tmp_path / "x")]) == EXIT_INPUT
@@ -275,6 +284,22 @@ class TestReportCommand:
     def test_empty_input_exits_2(self, capsys):
         assert main(["report"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("document", [{}, [1, 2]], ids=["empty-object", "list"])
+    def test_malformed_record_exits_2_naming_the_file(self, tmp_path, capsys, document):
+        path = tmp_path / "bad_record.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "InputFormatError" in err and str(path) in err
+
+    def test_record_with_retired_digest_field_still_loads(self, tmp_path):
+        path, _record = self._record_file(tmp_path)
+        data = json.loads(path.read_text())
+        for probe in data["probe_records"]:
+            probe["scores_digest"] = "0" * 64
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_OK
+
     def test_occupancy_series_covers_every_step(self, tmp_path):
         path, record = self._record_file(tmp_path)
         out = tmp_path / "rep"
@@ -284,15 +309,16 @@ class TestReportCommand:
 
 
 class TestRoundTripFidelity:
-    def test_cli_pipeline_reproduces_engine_round_one(self, tmp_path):
+    @pytest.mark.parametrize("policy", [PolicyKind.HIERARCHICAL, PolicyKind.STREAMING],
+                             ids=lambda kind: kind.value)
+    def test_cli_pipeline_reproduces_engine_round_one(self, tmp_path, policy):
         # Export the first probe round's dump, push it through score + plan,
         # and compare with the engine's own decision for that round.
         record = run(
             TinyModelConfig(rng_seed=1),
             "Solve: compute two plus two.",
             DecodeConfig(max_new_tokens=16, probe=default_probe(interval_p=8),
-                         policy=PolicyKind.HIERARCHICAL, budget=EvictionBudget(3),
-                         keep_dumps=True),
+                         policy=policy, budget=EvictionBudget(3), keep_dumps=True),
         )
         first = record.probe_records[0]
         assert first.dump is not None
@@ -325,9 +351,10 @@ class TestRoundTripFidelity:
                 assert got == engine_scores[(layer, head)]
 
         assert main(["plan", "--trace", str(trace_path), "--scores",
-                     str(out / "scores.json"), "--policy", "ours", "--budget", "3",
+                     str(out / "scores.json"), "--policy", policy.value, "--budget", "3",
                      "--out", str(out)]) == EXIT_OK
         cli_plan = json.loads((out / "plan.json").read_text())
         engine_evicted = {layer: heads for layer, heads in first.evicted}
+        assert sum(len(head) for heads in engine_evicted.values() for head in heads) > 0
         for layer, layer_entry in enumerate(cli_plan["layers"]):
             assert layer_entry["heads"] == engine_evicted[layer]

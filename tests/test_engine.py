@@ -53,6 +53,14 @@ class TestDecodeConfig:
         with pytest.raises(ValueError):
             make_config(greedy=False, temperature=0.0)
 
+    def test_recent_window_with_cache_budget_rejected(self):
+        # a CacheBudget carries its own recent window; a second one was ignored
+        with pytest.raises(ValueError, match="recent_window"):
+            make_config(policy=PolicyKind.HIERARCHICAL, budget=CacheBudget(max_slots=8),
+                        recent_window=6)
+        make_config(policy=PolicyKind.HIERARCHICAL, budget=CacheBudget(max_slots=8))
+        make_config(policy=PolicyKind.HIERARCHICAL, budget=EvictionBudget(2), recent_window=6)
+
 
 class TestNullPruning:
     def test_probing_with_zero_budget_matches_no_probes(self):

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from reference import eq2_bruteforce
 from conftest import live_from_sets, make_segmentation, make_trace
 
-from thinkprune.errors import MissingHead, NonNormalizedRow
+from thinkprune.errors import NonNormalizedRow
 from thinkprune.model import THINK_END_ID, tokenize
 from thinkprune.scoring import (
-    AttentionRow,
     ProbeConfig,
     SUMMARIZATION_PROBE_TEXT,
     ScoreTensor,
@@ -59,25 +59,29 @@ class TestProbeConfigValidation:
             ProbeConfig(SUMMARIZATION_PROBE_TEXT, 1, 0)
 
 
-def _rows_from_arrays(arrays: dict[tuple[int, int], list[float]]) -> list[AttentionRow]:
-    return [
-        AttentionRow(layer, head, dict(enumerate(weights)))
-        for (layer, head), weights in arrays.items()
-    ]
+def _rows_from_arrays(arrays: dict[tuple[int, int], list[float]]) -> np.ndarray:
+    """Dense (layers, heads, keys) rows, as forward_step returns them."""
+    num_layers = 1 + max(layer for layer, _head in arrays)
+    num_heads = 1 + max(head for _layer, head in arrays)
+    width = len(next(iter(arrays.values())))
+    rows = np.zeros((num_layers, num_heads, width))
+    for (layer, head), weights in arrays.items():
+        rows[layer, head] = weights
+    return rows
 
 
 class TestExtractTokenScores:
     def test_uniform_row(self):
         trace = make_trace(["p0", "p1", " a", " b", " c", " d"], 2)
         rows = _rows_from_arrays({(0, 0): [1 / 6] * 6})
-        tensor = extract_token_scores(rows, trace, all_live, num_layers=1, num_heads=1)
+        tensor = extract_token_scores(rows, trace, all_live)
         assert tensor.head_scores(0, 0) == {t: 1 / 6 for t in range(2, 6)}
 
     def test_one_hot_row(self):
         trace = make_trace(["p0", " a", " b", " c"], 1)
         weights = [0.0, 0.0, 1.0, 0.0]
         rows = _rows_from_arrays({(0, 0): weights})
-        tensor = extract_token_scores(rows, trace, all_live, num_layers=1, num_heads=1)
+        tensor = extract_token_scores(rows, trace, all_live)
         assert tensor.head_scores(0, 0) == {1: 0.0, 2: 1.0, 3: 0.0}
 
     def test_random_rows_match_direct_indexing(self, rng):
@@ -87,48 +91,46 @@ class TestExtractTokenScores:
             for head in range(2):
                 raw = rng.random(8)
                 arrays[(layer, head)] = list(raw / raw.sum())
-        tensor = extract_token_scores(
-            _rows_from_arrays(arrays), trace, all_live, num_layers=2, num_heads=2
-        )
+        tensor = extract_token_scores(_rows_from_arrays(arrays), trace, all_live)
         for (layer, head), weights in arrays.items():
             assert tensor.head_scores(layer, head) == {
                 t: weights[t] for t in range(1, 8)
             }
 
-    def test_missing_head(self):
-        trace = make_trace(["p", " a"], 1)
-        rows = _rows_from_arrays({(0, 0): [0.5, 0.5]})
-        with pytest.raises(MissingHead):
-            extract_token_scores(rows, trace, all_live, num_layers=1, num_heads=2)
+    def test_rows_narrower_than_reasoning_region_rejected(self):
+        trace = make_trace(["p", " a", " b", " c"], 1)
+        rows = _rows_from_arrays({(0, 0): [0.25, 0.25, 0.5]})
+        with pytest.raises(ValueError, match="cover 3 keys"):
+            extract_token_scores(rows, trace, all_live)
+        with pytest.raises(ValueError, match="cover 3 keys"):
+            extract_token_scores(rows, trace, all_live, reason_end=4)
+        tensor = extract_token_scores(rows, trace, all_live, reason_end=3)
+        assert tensor.head_scores(0, 0) == {1: 0.25, 2: 0.5}
 
     def test_non_normalized_row(self):
         trace = make_trace(["p", " a"], 1)
         rows = _rows_from_arrays({(0, 0): [0.5, 0.4]})
         with pytest.raises(NonNormalizedRow):
-            extract_token_scores(rows, trace, all_live, num_layers=1, num_heads=1)
+            extract_token_scores(rows, trace, all_live)
 
     def test_row_sum_tolerance_accepts_1e6_error(self):
         trace = make_trace(["p", " a"], 1)
         rows = _rows_from_arrays({(0, 0): [0.5, 0.5 + 1e-6]})
-        extract_token_scores(rows, trace, all_live, num_layers=1, num_heads=1)
+        extract_token_scores(rows, trace, all_live)
 
     def test_prompt_probe_and_answer_mass_not_scored(self):
         # Trace: 1 prompt + 2 reasoning + 1 answer token; row also covers a
         # probe key at position 4. Only reasoning positions 1..2 get entries.
         trace = make_trace(["p", " a", " b", " ans"], 1)
         rows = _rows_from_arrays({(0, 0): [0.3, 0.2, 0.1, 0.2, 0.2]})
-        tensor = extract_token_scores(
-            rows, trace, all_live, num_layers=1, num_heads=1, reason_end=3
-        )
+        tensor = extract_token_scores(rows, trace, all_live, reason_end=3)
         assert tensor.head_scores(0, 0) == {1: 0.2, 2: 0.1}
 
     def test_dead_tokens_get_no_entry(self):
         trace = make_trace(["p", " a", " b", " c"], 1)
         live_sets = {(0, 0): {1, 3}}
         rows = _rows_from_arrays({(0, 0): [0.25, 0.25, 0.25, 0.25]})
-        tensor = extract_token_scores(
-            rows, trace, live_from_sets(live_sets), num_layers=1, num_heads=1
-        )
+        tensor = extract_token_scores(rows, trace, live_from_sets(live_sets))
         assert set(tensor.head_scores(0, 0)) == {1, 3}
 
     def test_score_conservation(self, rng):
@@ -137,9 +139,7 @@ class TestExtractTokenScores:
         for _ in range(25):
             raw = rng.random(10)  # 8 trace keys + 2 probe keys
             arrays = {(0, 0): list(raw / raw.sum())}
-            tensor = extract_token_scores(
-                _rows_from_arrays(arrays), trace, all_live, num_layers=1, num_heads=1
-            )
+            tensor = extract_token_scores(_rows_from_arrays(arrays), trace, all_live)
             assert sum(tensor.head_scores(0, 0).values()) <= 1.0 + 1e-9
 
 
@@ -155,11 +155,6 @@ class TestScoreTensorValidation:
     def test_rejects_out_of_range_head(self):
         with pytest.raises(ValueError):
             ScoreTensor(1, 1, {(0, 1): {3: 0.1}})
-
-    def test_digest_is_stable(self):
-        a = ScoreTensor(1, 1, {(0, 0): {3: 0.25, 4: 0.5}})
-        b = ScoreTensor(1, 1, {(0, 0): {4: 0.5, 3: 0.25}})
-        assert a.digest() == b.digest()
 
 
 class TestAggregateStepScores:
@@ -273,10 +268,8 @@ class TestAggregateStepScores:
         seg = make_segmentation(1, [3, 3])
         tensors = []
         for weights in (row, scaled):
-            tensor = extract_token_scores(
-                _rows_from_arrays({(0, 0): list(weights)}), trace, all_live,
-                num_layers=1, num_heads=1,
-            )
+            rows = _rows_from_arrays({(0, 0): list(weights)})
+            tensor = extract_token_scores(rows, trace, all_live)
             tensors.append(aggregate_step_scores(tensor, seg, all_live))
         order_a = sorted(tensors[0].layer_entries(0), key=lambda e: (e[1], e[0]))
         order_b = sorted(tensors[1].layer_entries(0), key=lambda e: (e[1], e[0]))

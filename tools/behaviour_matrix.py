@@ -9,27 +9,38 @@ and each of ours/random/h2o/streaming under periodic budgets (k, interval,
 recent window) in {(0, 8, 0), (3, 8, 0) with attention dumps, (8, 16, 4),
 (5, 6, 0)} and under ratio caps 0.3 and 0.6 of the full run's average
 occupancy; greedy and sampled decoding; model seeds 0 and 1; two prompts;
-80 new tokens; 2 layers x 3 heads. That is 200 cells.
+80 new tokens; 2 layers x 3 heads. That is 200 run cells.
+
+It also records `thinkprune plan` for 320 plan cells, {"exit_code",
+"stdout"} each. Their inputs come from the last dumped probe round of
+every (3, 8, 0) run: the trace up to that round, the round's scores as a
+scores file and its dump as a dump file. For each such round, every
+policy plans from `--scores` and from `--dump`, and random and streaming
+also plan from neither, at budget 4 and seed 7.
 
 `compare` checks that the two files hold the same cells, that the float
 fields (`scores`, `step_scores`, `dump` in each probe round) agree within
 1e-12, and that every other field matches exactly, except `scores_digest`,
-which hashes the float scores. It prints how many cells are byte-identical
-and exits 1 on any mismatch.
+which records written before that field was retired still carry. It
+prints how many cells are byte-identical and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from thinkprune.cache import CacheBudget  # noqa: E402
+from thinkprune.cli import main as cli_main  # noqa: E402
 from thinkprune.engine import DecodeConfig, run  # noqa: E402
-from thinkprune.model import TinyModelConfig  # noqa: E402
+from thinkprune.model import TinyModelConfig, token_text, tokenize  # noqa: E402
 from thinkprune.policy import EvictionBudget, PolicyKind  # noqa: E402
 from thinkprune.scoring import default_probe  # noqa: E402
 
@@ -41,6 +52,9 @@ PERIODIC = ((0, 8, 0, False), (3, 8, 0, True), (8, 16, 4, False), (5, 6, 0, Fals
 RATIOS = (0.3, 0.6)
 RATIO_INTERVAL = 8
 MAX_NEW = 80
+DUMPED = "k3-i8-r0"
+PLAN_BUDGET = 4
+PLAN_SEED = 7
 FLOAT_FIELDS = ("scores", "step_scores", "dump")
 FLOAT_TOLERANCE = 1e-12
 
@@ -70,6 +84,46 @@ def record_matrix() -> dict[str, dict]:
                         budget = CacheBudget.from_ratio(ratio, full.avg_kv)
                         record = run(model, prompt, _config(greedy, policy=policy, budget=budget))
                         cells[f"{prefix}/{policy.value}/ratio{ratio}"] = record.to_dict()
+                    source = f"{prefix}/{policy.value}/{DUMPED}"
+                    cells.update(record_plans(source, prompt, cells[source]))
+    return cells
+
+
+def _plan_stdout(argv: list[str]) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(argv)
+    return {"exit_code": code, "stdout": stdout.getvalue()}
+
+
+def record_plans(source: str, prompt: str, record: dict) -> dict[str, dict]:
+    """`thinkprune plan` stdout for every policy and input, from the last
+    dumped probe round of one run record."""
+    probe = [rnd for rnd in record["probe_records"] if rnd["dump"] is not None][-1]
+    dump = probe["dump"]
+    layers, heads = dump["layers"], dump["heads"]
+    tokens = tokenize(prompt, record["model"]["vocab_size"])
+    tokens += [(tid, token_text(tid)) for tid in record["generated_ids"][:probe["reasoning_tokens"]]]
+    trace = {"prompt_len": record["prompt_len"],
+             "tokens": [{"id": tid, "text": text} for tid, text in tokens]}
+    by_head = {(layer, head): pairs for layer, head, pairs in probe["scores"]}
+    scores = {"layers": layers, "heads": heads,
+              "scores": [[by_head[(layer, head)] for head in range(heads)]
+                         for layer in range(layers)]}
+    cells = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("trace", trace), ("scores", scores), ("dump", dump)):
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        for policy in PolicyKind:
+            inputs = {"scores": ["--scores", paths["scores"]], "dump": ["--dump", paths["dump"]]}
+            if policy in (PolicyKind.RANDOM, PolicyKind.STREAMING):
+                inputs["none"] = ["--layers", str(layers), "--heads", str(heads)]
+            for name, extra in inputs.items():
+                argv = ["plan", "--trace", paths["trace"], "--policy", policy.value,
+                        "--budget", str(PLAN_BUDGET), "--seed", str(PLAN_SEED)] + extra
+                cells[f"{source}/plan-{policy.value}-from-{name}"] = _plan_stdout(argv)
     return cells
 
 
