@@ -10,7 +10,7 @@ immutable copies.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,15 +115,8 @@ class KvCacheState:
     def prompt_len(self) -> int:
         return self.protected.prompt_len
 
-    def _positions(self, layer: int, head: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Live positions of one (layer, head) in [start, stop), oldest first."""
-        return start + np.flatnonzero(self.live[layer, head, start:stop])
-
     def live_indices(self, layer: int, head: int) -> tuple[int, ...]:
-        return tuple(self._positions(layer, head).tolist())
-
-    def live_count(self, layer: int, head: int) -> int:
-        return int(np.count_nonzero(self.live[layer, head]))
+        return tuple(np.flatnonzero(self.live[layer, head]).tolist())
 
     def live_nonprompt_count(self, layer: int, head: int) -> int:
         return int(np.count_nonzero(self.live[layer, head, self.prompt_len:]))
@@ -131,31 +124,31 @@ class KvCacheState:
     def is_live(self, layer: int, head: int, token: int) -> bool:
         return 0 <= token < self.next_index and bool(self.live[layer, head, token])
 
-    def is_protected(self, token: int, *, sequence_end: int | None = None) -> bool:
-        """Prompt tokens always; recent-window tokens relative to sequence_end.
+    def evictable(self, *, sequence_end: int | None = None) -> np.ndarray:
+        """(layers, heads, next_index) mask of the live tokens past the prompt and
+        outside the recent window that ends at sequence_end (default next_index).
 
-        sequence_end defaults to the current append position; pass the real
-        sequence length while transient probe tokens occupy the tail.
+        Pass the real sequence length while probe tokens occupy the tail. With
+        a window of 0 nothing is recent, so tokens past sequence_end stay evictable.
         """
-        if token < self.prompt_len:
-            return True
-        window = self.protected.recent_window
-        if window == 0:
-            return False
-        end = self.next_index if sequence_end is None else sequence_end
-        return token >= end - window
+        positions = np.arange(self.next_index)
+        allowed = positions >= self.prompt_len
+        if self.protected.recent_window:
+            end = self.next_index if sequence_end is None else sequence_end
+            allowed &= positions < end - self.protected.recent_window
+        return self.live[:, :, :self.next_index] & allowed
 
     def live_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """Immutable snapshot of every (layer, head) live index set."""
         return {
-            (layer, head): frozenset(self._positions(layer, head).tolist())
+            (layer, head): frozenset(np.flatnonzero(self.live[layer, head]).tolist())
             for layer in range(self.num_layers)
             for head in range(self.num_heads)
         }
 
     def live_arrays(self, layer: int, head: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Live indices plus their key/value rows, oldest first."""
-        positions = self._positions(layer, head)
+        positions = np.flatnonzero(self.live[layer, head])
         return positions.tolist(), self.keys[layer, head, positions], self.values[layer, head, positions]
 
     def append(self, token_index: int, keys: np.ndarray, values: np.ndarray) -> None:
@@ -191,18 +184,24 @@ class KvCacheState:
                 f"plan dimensions ({plan.num_layers}, {plan.num_heads}) do not match "
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
-        for (layer, head), victims in plan.evicted.items():
-            for token in sorted(victims):
+        return self._evict(plan.evicted, sequence_end)
+
+    def _evict(self, victims: Mapping[tuple[int, int], Collection[int]], sequence_end: int | None) -> int:
+        """Clear every named token's live bit once all pass, checking each head's
+        in ascending order: UnknownToken if not live, ProtectedTokenEviction if
+        not evictable; either leaves the state untouched. Returns the count."""
+        evictable = self.evictable(sequence_end=sequence_end)
+        for (layer, head), tokens in victims.items():
+            for token in sorted(tokens):
                 if not self.is_live(layer, head, token):
                     raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
-                if self.is_protected(token, sequence_end=sequence_end):
+                if not evictable[layer, head, token]:
                     raise ProtectedTokenEviction(
                         f"token {token} at ({layer}, {head}) is prompt or recent-window protected"
                     )
-        removed = 0
-        for (layer, head), victims in plan.evicted.items():
-            self.live[layer, head, list(victims)] = False
-            removed += len(victims)
+        for (layer, head), tokens in victims.items():
+            self.live[layer, head, list(tokens)] = False
+        removed = sum(map(len, victims.values()))
         self.evicted_total += removed
         return removed
 
@@ -238,42 +237,30 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: Vic
     """Make room for one incoming token under a cache budget.
 
     If any (layer, head) would exceed max_slots non-prompt live entries
-    after the next append, the selector picks exactly the overflow from the
-    eligible (non-prompt, non-recent) tokens and those are evicted now.
-    Heads may evict different counts. Every choice is validated before any
-    entry is removed. Returns the number of evicted entries.
+    after the next append, the selector picks exactly the overflow from that
+    head's evictable tokens (the cache's own recent window applies), and
+    those are evicted now; heads may evict different counts. Every choice is
+    validated before any entry is removed. Returns the number evicted.
     """
-    recent = budget.recent_window
+    recent = state.protected.recent_window
     if budget.max_slots < recent:
         raise BudgetInfeasible(
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
         )
-    recent_floor = state.next_index - recent
-    chosen: list[tuple[int, int, list[int]]] = []
-    for layer in range(state.num_layers):
-        for head in range(state.num_heads):
-            overflow = state.live_nonprompt_count(layer, head) + 1 - budget.max_slots
-            if overflow <= 0:
-                continue
-            # max_slots >= recent non-prompt tokens are live, so the floor is
-            # at or past prompt_len and the slice cannot wrap
-            eligible = state._positions(layer, head, state.prompt_len, recent_floor).tolist()
-            if len(eligible) < overflow:
-                raise BudgetInfeasible(
-                    f"(layer {layer}, head {head}) must evict {overflow} but only "
-                    f"{len(eligible)} tokens are eligible"
-                )
-            victims = list(select_victims(layer, head, eligible, overflow))
-            picked = set(victims)
-            if len(victims) != overflow or len(picked) != overflow or not picked <= set(eligible):
-                raise ValueError("victim selector returned an invalid choice")
-            if any(state.is_protected(token) for token in picked):
-                raise ProtectedTokenEviction(
-                    f"a victim at ({layer}, {head}) is prompt or recent-window protected"
-                )
-            chosen.append((layer, head, victims))
-    for layer, head, victims in chosen:
-        state.live[layer, head, victims] = False
-    removed = sum(len(victims) for _layer, _head, victims in chosen)
-    state.evicted_total += removed
-    return removed
+    overflow = np.count_nonzero(state.live[:, :, state.prompt_len:], axis=2) + 1 - budget.max_slots
+    evictable = state.evictable()
+    chosen: dict[tuple[int, int], list[int]] = {}
+    for layer, head in np.argwhere(overflow > 0).tolist():
+        count = int(overflow[layer, head])
+        eligible = np.flatnonzero(evictable[layer, head]).tolist()
+        if len(eligible) < count:
+            raise BudgetInfeasible(
+                f"(layer {layer}, head {head}) must evict {count} but only "
+                f"{len(eligible)} tokens are eligible"
+            )
+        victims = list(select_victims(layer, head, eligible, count))
+        picked = set(victims)
+        if len(victims) != count or len(picked) != count or not picked <= set(eligible):
+            raise ValueError("victim selector returned an invalid choice")
+        chosen[(layer, head)] = victims
+    return state._evict(chosen, None)

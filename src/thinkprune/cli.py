@@ -146,6 +146,18 @@ def _scored_predicate(scores: ScoreTensor):
     return live
 
 
+def _require_equal_step_sizes(seg, live, scores: ScoreTensor) -> None:
+    """allocate sizes each step from head 0, so every head of a layer must
+    score the same number of tokens in each step."""
+    for layer in range(scores.num_layers):
+        for sid, step in enumerate(seg.steps):
+            sizes = [sum(live(layer, head, t) for t in range(step.start, step.end))
+                     for head in range(scores.num_heads)]
+            if len(set(sizes)) > 1:
+                raise InputFormatError(f"layer {layer} step {sid}: heads score {sizes} tokens; "
+                                       "every head must score as many as head 0")
+
+
 def _find_reason_end(trace) -> int | None:
     for tok in trace.tokens[trace.reason_start:]:
         if tok.text == THINK_END_TEXT:
@@ -223,6 +235,7 @@ def cmd_plan(args) -> int:
     seg = step_scores = None
     if policy is PolicyKind.HIERARCHICAL:
         seg = segment(trace, markers)
+        _require_equal_step_sizes(seg, live, scores)
         step_scores = aggregate_step_scores(scores, seg, live)
     plan, allocation = plan_round(policy, scores, seg, step_scores, live, seq_len,
                                   EvictionBudget(args.budget), args.seed)

@@ -188,17 +188,13 @@ def requery_logits(state: KvCacheState, model: TinyDecoder, token_id: int, posit
     return model.forward_step(state, token_id, position, include_new_kv=False).logits
 
 
-def eviction_candidates(state: KvCacheState, trace: ReasoningTrace, *, sequence_end: int):
-    """Predicate for tokens a plan may touch: live reasoning tokens outside
-    the prompt and recent window, before sequence_end (probe tokens excluded)."""
-    reason_start = trace.reason_start
+def eviction_candidates(state: KvCacheState, *, sequence_end: int) -> LivePredicate:
+    """Predicate for tokens a plan may touch: the cache's evictable tokens
+    before sequence_end (probe tokens excluded), as of this call."""
+    evictable = state.evictable(sequence_end=sequence_end)
 
     def eligible(layer: int, head: int, token: int) -> bool:
-        return (
-            reason_start <= token < sequence_end
-            and not state.is_protected(token, sequence_end=sequence_end)
-            and state.is_live(layer, head, token)
-        )
+        return 0 <= token < sequence_end and bool(evictable[layer, head, token])
 
     return eligible
 
@@ -328,7 +324,7 @@ def probe_cycle(
             out = decode_step(state, model, pid, base + offset)
             last_rows = out.rows
         record.ran_probe = True
-        eligible = eviction_candidates(state, trace, sequence_end=base)
+        eligible = eviction_candidates(state, sequence_end=base)
         scores = extract_token_scores(last_rows, trace, eligible, reason_end=base)
         seg = segment(trace, markers)
         step_scores = aggregate_step_scores(scores, seg, eligible)
@@ -344,11 +340,10 @@ def probe_cycle(
                 ranking = h2o_scores(h2o.history(), state.num_layers, state.num_heads, eligible)
             plan, allocation = plan_round(policy, ranking, seg, step_scores, eligible, base,
                                           budget, (eviction_seed, round_index))
-            state.apply_plan(plan, sequence_end=base)
+            record.evicted_total = state.apply_plan(plan, sequence_end=base)
             if allocation is not None:
                 record.allocation = _allocation_to_lists(allocation)
             record.evicted, record.plan_sizes = _plan_to_lists(plan)
-            record.evicted_total = plan.total()
     finally:
         state.remove_suffix(base)
 

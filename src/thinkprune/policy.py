@@ -89,14 +89,8 @@ class EvictionPlan:
     def head_set(self, layer: int, head: int) -> frozenset[int]:
         return self.evicted[(layer, head)]
 
-    def layer_size(self, layer: int) -> int:
-        return len(self.evicted[(layer, 0)])
-
     def total(self) -> int:
         return sum(len(v) for v in self.evicted.values())
-
-    def is_empty(self) -> bool:
-        return self.total() == 0
 
 
 def _live_in_span(start: int, end: int, layer: int, head: int, live: LivePredicate) -> list[int]:
@@ -340,16 +334,16 @@ def plan_streaming(
     keep_first: int,
     keep_recent: int,
 ) -> EvictionPlan:
-    """Evict every live token outside the first keep_first / last keep_recent."""
+    """Evict every live token outside the first keep_first / last keep_recent,
+    oldest first over [keep_first, seq_len - keep_recent)."""
     if keep_first < 0 or keep_recent < 0:
         raise ValueError("keep_first and keep_recent must be >= 0")
-    lo = keep_first
-    hi = max(lo, seq_len - keep_recent)
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            evicted[(layer, head)] = frozenset(_live_in_span(lo, hi, layer, head, live))
-    return EvictionPlan(num_layers, num_heads, evicted)
+
+    def past_first(layer: int, head: int, token: int) -> bool:
+        return token >= keep_first and live(layer, head, token)
+
+    return plan_by_selector(num_layers, num_heads, seq_len - keep_recent, past_first,
+                            EvictionBudget(max(0, seq_len)), oldest_first)
 
 
 def plan_oldest(

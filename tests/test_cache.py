@@ -123,7 +123,7 @@ class TestConservation:
         assert state.next_index == 12
         for layer in range(2):
             for head in range(2):
-                live = state.live_count(layer, head)
+                live = len(state.live_indices(layer, head))
                 evicted = len(plan.head_set(layer, head))
                 assert state.next_index - evicted == live
 
@@ -132,7 +132,7 @@ class TestConservation:
         state.remove_suffix(5)
         assert state.live_indices(0, 0) == (0, 1, 2, 3, 4)
         assert state.next_index == 5
-        assert state.live_count(0, 0) == 5
+        assert len(state.live_indices(0, 0)) == 5
         assert state.evicted_total == 0
         # the rolled-back positions are free for new appends
         state.append(5, np.ones((1, 1, 4)), np.ones((1, 1, 4)))
@@ -323,12 +323,18 @@ class TestProtectedRegions:
 
     def test_prompt_always_protected(self):
         state = fill_cache(1, 1, 4, prompt_len=3, total=6)
-        assert all(state.is_protected(t) for t in range(3))
-        assert not state.is_protected(3)
+        assert state.evictable().tolist() == [[[False] * 3 + [True] * 3]]
 
     def test_recent_window_moves_with_appends(self):
         state = fill_cache(1, 1, 4, prompt_len=0, total=6, recent=2)
-        assert state.is_protected(4) and state.is_protected(5)
+        assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3]
         state.append(6, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
-        assert not state.is_protected(4)
-        assert state.is_protected(5) and state.is_protected(6)
+        assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3, 4]
+        # judged against a shorter real sequence, the window ends earlier
+        assert np.flatnonzero(state.evictable(sequence_end=5)[0, 0]).tolist() == [0, 1, 2]
+
+    def test_zero_window_leaves_tokens_past_sequence_end_evictable(self):
+        # Without a recent window nothing is recent, so probe tokens appended
+        # past the real sequence end remain evictable.
+        state = fill_cache(1, 1, 4, prompt_len=2, total=8)
+        assert np.flatnonzero(state.evictable(sequence_end=5)[0, 0]).tolist() == [2, 3, 4, 5, 6, 7]

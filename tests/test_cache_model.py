@@ -3,7 +3,7 @@
 Random sequences of appends, valid and invalid eviction plans, suffix
 removals and budget enforcement drive the cache and a dict-of-lists model
 side by side. After every operation, accepted or rejected, every public
-view of the cache must match the model.
+view of the cache, the evictable mask included, must match the model.
 """
 
 from __future__ import annotations
@@ -178,6 +178,13 @@ class CacheMachine(RuleBasedStateMachine):
                 assert values[row].tobytes() == value.tobytes()
             counts[(layer, head)] = len(tokens)
         assert cache.live_sets() == {key: frozenset(model.tokens(key)) for key in model.heads}
+        # the default end and every sequence_end the plan rule can draw
+        for sequence_end in (None, *range(max(0, model.next_index - 3), model.next_index + 1)):
+            evictable = cache.evictable(sequence_end=sequence_end)
+            assert evictable.shape == (*self.shape[:2], model.next_index)
+            for layer, head in model.heads:
+                assert np.flatnonzero(evictable[layer, head]).tolist() == [
+                    t for t in model.tokens((layer, head)) if not model.protected(t, sequence_end)]
         stats = cache.stats()
         assert dict(stats.live_counts) == counts
         assert stats.average_live == sum(counts.values()) / len(counts)

@@ -166,6 +166,21 @@ class TestPlanCommand:
         assert data["allocation"] is None
         assert [layer["heads"] for layer in data["layers"]] == [[[1, 2, 3, 4]] * 2] * 2
 
+    def test_ours_from_scores_with_unequal_heads_exits_2(self, trace_file, tmp_path, capsys):
+        # After random or h2o rounds the heads of a layer hold different live
+        # tokens; here head 1 scores 1 token of step 0 ([1, 6)), head 0 all 5.
+        reasoning = range(1, len(THREE_MARKER_TEXTS))
+        head0 = [[t, 0.01 if t < 6 else 0.5] for t in reasoning]
+        head1 = [[t, s] for t, s in head0 if t == 1 or t >= 6]
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps({"layers": 1, "heads": 2, "scores": [[head0, head1]]}),
+                        encoding="utf-8")
+        assert main(["plan", "--trace", str(trace_file), "--scores", str(path),
+                     "--policy", "ours", "--budget", "3"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "InputFormatError" in err
+        assert "layer 0 step 0: heads score [5, 1] tokens" in err
+
     def test_ours_without_scores_exits_2(self, trace_file, capsys):
         assert main(["plan", "--trace", str(trace_file), "--policy", "ours",
                      "--budget", "2"]) == EXIT_INPUT

@@ -142,14 +142,14 @@ class TestBuildPlan:
         plan = build_plan(scores, step_scores, seg, all_live, EvictionBudget(2))
         assert plan.head_set(0, 0) == frozenset({0, 1})
         assert plan.head_set(0, 1) == frozenset({2, 3})
-        assert plan.layer_size(0) == 2
+        assert len(plan.head_set(0, 0)) == len(plan.head_set(0, 1)) == 2
 
     def test_zero_budget_empty_plan(self):
         seg = make_segmentation(0, [4])
         scores = ScoreTensor(1, 1, {(0, 0): {t: 0.1 for t in range(4)}})
         step_scores = aggregate_step_scores(scores, seg, all_live)
         plan = build_plan(scores, step_scores, seg, all_live, EvictionBudget(0))
-        assert plan.is_empty()
+        assert plan.total() == 0
 
     def test_budget_conservation(self, rng):
         for _ in range(60):
@@ -216,8 +216,8 @@ class TestEvictionPlanType:
 
     def test_layers_may_differ(self):
         plan = EvictionPlan(2, 1, {(0, 0): frozenset({3, 4}), (1, 0): frozenset()})
-        assert plan.layer_size(0) == 2
-        assert plan.layer_size(1) == 0
+        assert len(plan.head_set(0, 0)) == 2
+        assert len(plan.head_set(1, 0)) == 0
 
     def test_out_of_range_entry_rejected(self):
         with pytest.raises(ValueError):
@@ -232,7 +232,7 @@ class TestEvictionPlanType:
 class TestPlanRandom:
     def test_zero_budget(self):
         plan = plan_random(1, 1, 10, all_live, EvictionBudget(0), 7)
-        assert plan.is_empty()
+        assert plan.total() == 0
 
     def test_same_seed_same_plan(self):
         a = plan_random(2, 2, 30, all_live, EvictionBudget(5), 11)
@@ -306,7 +306,7 @@ class TestPlanStreaming:
 
     def test_window_covers_sequence(self):
         plan = plan_streaming(1, 1, 10, all_live, 6, 5)
-        assert plan.is_empty()
+        assert plan.total() == 0
 
     def test_zero_keep_evicts_everything_eligible(self):
         plan = plan_streaming(1, 1, 4, all_live, 0, 0)

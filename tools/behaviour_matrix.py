@@ -12,11 +12,12 @@ occupancy; greedy and sampled decoding; model seeds 0 and 1; two prompts;
 80 new tokens; 2 layers x 3 heads. That is 200 run cells.
 
 It also records `thinkprune plan` for 320 plan cells, {"exit_code",
-"stdout"} each. Their inputs come from the last dumped probe round of
-every (3, 8, 0) run: the trace up to that round, the round's scores as a
-scores file and its dump as a dump file. For each such round, every
-policy plans from `--scores` and from `--dump`, and random and streaming
-also plan from neither, at budget 4 and seed 7.
+"stdout", "stderr"} each, so a changed error message shows in `compare`.
+Their inputs come from the last dumped probe round of every (3, 8, 0)
+run: the trace up to that round, the round's scores as a scores file and
+its dump as a dump file. For each such round, every policy plans from
+`--scores` and from `--dump`, and random and streaming also plan from
+neither, at budget 4 and seed 7.
 
 `compare` checks that the two files hold the same cells, that the float
 fields (`scores`, `step_scores`, `dump` in each probe round) agree within
@@ -89,15 +90,15 @@ def record_matrix() -> dict[str, dict]:
     return cells
 
 
-def _plan_stdout(argv: list[str]) -> dict:
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+def _plan_output(argv: list[str]) -> dict:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli_main(argv)
-    return {"exit_code": code, "stdout": stdout.getvalue()}
+    return {"exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 def record_plans(source: str, prompt: str, record: dict) -> dict[str, dict]:
-    """`thinkprune plan` stdout for every policy and input, from the last
+    """`thinkprune plan` output for every policy and input, from the last
     dumped probe round of one run record."""
     probe = [rnd for rnd in record["probe_records"] if rnd["dump"] is not None][-1]
     dump = probe["dump"]
@@ -123,7 +124,7 @@ def record_plans(source: str, prompt: str, record: dict) -> dict[str, dict]:
             for name, extra in inputs.items():
                 argv = ["plan", "--trace", paths["trace"], "--policy", policy.value,
                         "--budget", str(PLAN_BUDGET), "--seed", str(PLAN_SEED)] + extra
-                cells[f"{source}/plan-{policy.value}-from-{name}"] = _plan_stdout(argv)
+                cells[f"{source}/plan-{policy.value}-from-{name}"] = _plan_output(argv)
     return cells
 
 
