@@ -88,8 +88,9 @@ class KvCacheState:
 
     keys and values have shape (layers, heads, capacity, head_dim) and live
     has shape (layers, heads, capacity); position t holds token t. Capacity
-    doubles whenever an append reaches it, and only positions below
-    next_index can be live.
+    doubles whenever a write reaches it (see reserve), and only positions
+    below next_index can be live; the slot at next_index may hold a new
+    token's key/value before append commits them.
     """
 
     def __init__(
@@ -151,6 +152,17 @@ class KvCacheState:
         positions = np.flatnonzero(self.live[layer, head])
         return positions.tolist(), self.keys[layer, head, positions], self.values[layer, head, positions]
 
+    def reserve(self, token_index: int) -> None:
+        """Make sure position token_index has storage, doubling the capacity
+        when it is the first position past the end. live and next_index do
+        not change."""
+        capacity = self.live.shape[2]
+        if token_index == capacity:
+            grow = ((0, 0), (0, 0), (0, capacity))
+            self.keys = np.pad(self.keys, grow + ((0, 0),))
+            self.values = np.pad(self.values, grow + ((0, 0),))
+            self.live = np.pad(self.live, grow)
+
     def append(self, token_index: int, keys: np.ndarray, values: np.ndarray) -> None:
         """Commit one token's key/value vectors to every (layer, head).
 
@@ -161,12 +173,7 @@ class KvCacheState:
             raise ValueError(
                 f"appends must be sequential: expected {self.next_index}, got {token_index}"
             )
-        capacity = self.live.shape[2]
-        if token_index == capacity:
-            grow = ((0, 0), (0, 0), (0, capacity))
-            self.keys = np.pad(self.keys, grow + ((0, 0),))
-            self.values = np.pad(self.values, grow + ((0, 0),))
-            self.live = np.pad(self.live, grow)
+        self.reserve(token_index)
         self.keys[:, :, token_index] = keys
         self.values[:, :, token_index] = values
         self.live[:, :, token_index] = True

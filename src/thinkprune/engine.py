@@ -87,6 +87,47 @@ class DecodeConfig:
         return FULL_KV_NAME if self.policy is None else self.policy.value
 
 
+SCORE_PAIR = np.dtype([("token", np.int64), ("score", np.float64)])
+# one per (layer, head): where its pairs end in RoundScores.pairs
+HEAD_END = np.dtype([("layer", np.int64), ("head", np.int64), ("end", np.int64)])
+
+
+class RoundScores:
+    """One probe round's token scores, held as two arrays.
+
+    pairs holds every (layer, head)'s (token, score) pairs back to back, and
+    heads says where each head's run ends. A round keeps a few objects
+    instead of one list and float per scored token, so it is cheap to hold
+    and to free. Iterating yields (layer, head, pairs) per head, with pairs
+    a list of (token, score) tuples.
+    """
+
+    __slots__ = ("heads", "pairs")
+
+    def __init__(self, entries) -> None:
+        """entries: (layer, head, (token, score) pairs) per head, as iteration yields them."""
+        heads, pairs = [], []
+        for layer, head, head_pairs in entries:
+            pairs.extend(map(tuple, head_pairs))
+            heads.append((layer, head, len(pairs)))
+        self.heads = np.array(heads, dtype=HEAD_END)
+        self.pairs = np.array(pairs, dtype=SCORE_PAIR)
+
+    def __iter__(self):
+        pairs = self.pairs.tolist()
+        start = 0
+        for layer, head, end in self.heads.tolist():
+            yield layer, head, pairs[start:end]
+            start = end
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RoundScores) and list(self) == list(other)
+
+    def to_lists(self) -> list:
+        """The JSON form: [[layer, head, [[token, score], ...]], ...]."""
+        return [[layer, head, [list(pair) for pair in pairs]] for layer, head, pairs in self]
+
+
 @dataclass
 class ProbeRecord:
     """What one probe-and-prune round saw and did."""
@@ -96,7 +137,7 @@ class ProbeRecord:
     ran_probe: bool = False
     skipped: bool = False
     skip_reason: str | None = None
-    scores: list | None = None
+    scores: RoundScores | None = None
     step_scores: list | None = None
     allocation: list | None = None
     evicted: list | None = None
@@ -105,13 +146,18 @@ class ProbeRecord:
     dump: dict | None = None
 
     def to_dict(self) -> dict:
-        # shallow: dataclasses.asdict would deep-copy every score list
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        # shallow: dataclasses.asdict would deep-copy every list
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.scores is not None:
+            data["scores"] = self.scores.to_lists()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeRecord":
         # records written before the field was retired still carry it
         data = {key: value for key, value in data.items() if key != "scores_digest"}
+        if data.get("scores") is not None:
+            data["scores"] = RoundScores(data["scores"])
         return cls(**data)
 
 
@@ -199,12 +245,12 @@ def eviction_candidates(state: KvCacheState, *, sequence_end: int) -> LivePredic
     return eligible
 
 
-def _scores_to_lists(scores: ScoreTensor) -> list:
-    return [
-        [layer, head, [[t, s] for t, s in sorted(scores.head_scores(layer, head).items())]]
+def _round_scores(scores: ScoreTensor) -> RoundScores:
+    return RoundScores(
+        (layer, head, sorted(scores.head_scores(layer, head).items()))
         for layer in range(scores.num_layers)
         for head in range(scores.num_heads)
-    ]
+    )
 
 
 def _step_scores_to_lists(step_scores: StepScores) -> list:
@@ -328,7 +374,7 @@ def probe_cycle(
         scores = extract_token_scores(last_rows, trace, eligible, reason_end=base)
         seg = segment(trace, markers)
         step_scores = aggregate_step_scores(scores, seg, eligible)
-        record.scores = _scores_to_lists(scores)
+        record.scores = _round_scores(scores)
         record.step_scores = _step_scores_to_lists(step_scores)
         if keep_dump:
             record.dump = _dense_dump(last_rows, base + len(probe_tokens) - 1)

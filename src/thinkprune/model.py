@@ -121,17 +121,16 @@ class StepOutput:
     # is exactly 0.0 where token t is not live. width is next_index, plus
     # one for the token's own key when it joins.
     rows: np.ndarray
+    # the token's own (layers, heads, head_dim) key and value: views of the
+    # cache slot forward_step wrote them to, for append to commit
     keys: np.ndarray | None
     values: np.ndarray | None
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows: x / (1 + e^-x) for x >= 0, x e^x / (1 + e^x) below
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, x, x * e) / (1.0 + e)
 
 
 class TinyDecoder:
@@ -161,9 +160,30 @@ class TinyDecoder:
         self._refresh_working_copies()
 
     def _refresh_working_copies(self) -> None:
+        cfg = self.config
         self._w = {name: arr.astype(np.float64) for name, arr in self._weights32.items()}
-        half = self.config.head_dim // 2
-        self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / self.config.head_dim)
+        half = cfg.head_dim // 2
+        self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
+        # forward_step's working set: one tuple per layer with wq|wk|wv fused
+        # into one (d, 3d) matrix, and rotary tables for every position, laid
+        # out so that rotating is x * cos + x[swap] * sin over whole vectors
+        w = self._w
+        self._layers = tuple(
+            (
+                w[f"layers.{layer}.attn_norm"],
+                np.concatenate([w[f"layers.{layer}.w{p}"] for p in "qkv"], axis=1),
+                w[f"layers.{layer}.wo"],
+                w[f"layers.{layer}.mlp_norm"],
+                w[f"layers.{layer}.mlp_in"],
+                w[f"layers.{layer}.mlp_out"],
+            )
+            for layer in range(cfg.num_layers)
+        )
+        angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
+        cos, sin = np.cos(angles), np.sin(angles)
+        self._rope_cos = np.concatenate([cos, cos], axis=1)
+        self._rope_sin = np.concatenate([-sin, sin], axis=1)
+        self._rope_swap = np.r_[half:cfg.head_dim, 0:half]
 
     def weight_names(self) -> list[str]:
         return list(self._weights32)
@@ -171,7 +191,9 @@ class TinyDecoder:
     # --- numerics ---------------------------------------------------------
 
     def _rms(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + _RMS_EPS)
+        # np.add.reduce / d is exactly what np.mean computes, without its overhead
+        mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
+        scale = np.sqrt(mean_sq + _RMS_EPS)
         return x / scale * gain
 
     def _rope(self, heads: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -188,6 +210,10 @@ class TinyDecoder:
         x2 = heads[..., half:]
         return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
+    def _rope_at(self, heads: np.ndarray, position: int) -> np.ndarray:
+        """_rope for one position, from the tables: x1 cos - x2 sin, x2 cos + x1 sin."""
+        return heads * self._rope_cos[position] + heads[:, self._rope_swap] * self._rope_sin[position]
+
     # --- incremental path ---------------------------------------------------
 
     def forward_step(
@@ -202,11 +228,13 @@ class TinyDecoder:
 
         Each layer runs one masked attention over all heads against the
         cache's first next_index positions, with dead positions scored -inf.
-        With include_new_kv the token's own key/value join as the next column
-        and are returned for the caller to commit, so position must be the
-        cache's next_index; without it the token is assumed to be (possibly
-        partially) represented in the cache already, and attention runs over
-        the live entries alone.
+        With include_new_kv, position must be the cache's next_index: the
+        token's own key/value are written straight into that cache slot
+        (growing the cache if it is full) and join the attention as its
+        last column, but live and next_index change only when the caller
+        commits them with append. Without include_new_kv the token is
+        assumed to be (possibly partially) represented in the cache
+        already, and attention runs over the live entries alone.
         """
         cfg = self.config
         if position >= cfg.max_seq_len:
@@ -214,49 +242,43 @@ class TinyDecoder:
                 f"position {position} exceeds max_seq_len {cfg.max_seq_len}"
             )
         n = cache.next_index
-        if include_new_kv and position != n:
-            raise ValueError(f"a new key/value must join at position {n}, got {position}")
+        if include_new_kv:
+            if position != n:
+                raise ValueError(f"a new key/value must join at position {n}, got {position}")
+            cache.reserve(n)
+        else:
+            empty = np.argwhere(~cache.live[:, :, :n].any(axis=2))
+            if empty.size:
+                raise ValueError(f"no live keys to attend to at {tuple(empty[0].tolist())}")
         num_heads, head_dim = cfg.num_heads, cfg.head_dim
-        x = self._w["embed"][token_id].copy()
         width = n + 1 if include_new_kv else n
+        dead = ~cache.live[:, :, :n]
         rows = np.empty((cfg.num_layers, num_heads, width))
-        new_keys = np.empty((cfg.num_layers, num_heads, head_dim)) if include_new_kv else None
-        new_values = np.empty_like(new_keys) if include_new_kv else None
-        new_live = np.ones((num_heads, 1), dtype=bool)
         inv_scale = 1.0 / math.sqrt(head_dim)
-        for layer in range(cfg.num_layers):
-            u = self._rms(x, self._w[f"layers.{layer}.attn_norm"])
-            q = (u @ self._w[f"layers.{layer}.wq"]).reshape(num_heads, head_dim)
-            k = (u @ self._w[f"layers.{layer}.wk"]).reshape(num_heads, head_dim)
-            v = (u @ self._w[f"layers.{layer}.wv"]).reshape(num_heads, head_dim)
-            q = self._rope(q, position)
-            k = self._rope(k, position)
-            key_mat = cache.keys[layer, :, :n]
-            val_mat = cache.values[layer, :, :n]
-            live = cache.live[layer, :, :n]
+        x = self._w["embed"][token_id]
+        for layer, (attn_norm, wqkv, wo, mlp_norm, mlp_in, mlp_out) in enumerate(self._layers):
+            qkv = (self._rms(x, attn_norm) @ wqkv).reshape(3 * num_heads, head_dim)
+            qk = self._rope_at(qkv[:2 * num_heads], position)
+            keys = cache.keys[layer, :, :width]
+            values = cache.values[layer, :, :width]
             if include_new_kv:
                 # the new key and value go through the same products as the
                 # cached ones, so a later requery of this token is bitwise equal
-                key_mat = np.concatenate([key_mat, k[:, None, :]], axis=1)
-                val_mat = np.concatenate([val_mat, v[:, None, :]], axis=1)
-                live = np.concatenate([live, new_live], axis=1)
-            else:
-                empty = np.flatnonzero(~live.any(axis=1))
-                if empty.size:
-                    raise ValueError(f"no live keys to attend to at ({layer}, {int(empty[0])})")
-            scores = np.where(live, (key_mat @ q[:, :, None])[:, :, 0] * inv_scale, -np.inf)
-            weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+                keys[:, n] = qk[num_heads:]
+                values[:, n] = qkv[2 * num_heads:]
+            weights = rows[layer]
+            np.multiply((keys @ qk[:num_heads, :, None])[:, :, 0], inv_scale, out=weights)
+            np.copyto(weights[:, :n], -np.inf, where=dead[layer])
+            weights -= weights.max(axis=1, keepdims=True)
+            np.exp(weights, out=weights)
             weights /= weights.sum(axis=1, keepdims=True)
-            rows[layer] = weights
-            attn_out = (weights[:, None, :] @ val_mat)[:, 0, :]
-            x = x + attn_out.reshape(cfg.model_dim) @ self._w[f"layers.{layer}.wo"]
-            u2 = self._rms(x, self._w[f"layers.{layer}.mlp_norm"])
-            x = x + _silu(u2 @ self._w[f"layers.{layer}.mlp_in"]) @ self._w[f"layers.{layer}.mlp_out"]
-            if include_new_kv:
-                new_keys[layer] = k
-                new_values[layer] = v
+            attn_out = (weights[:, None, :] @ values)[:, 0, :]
+            x = x + attn_out.reshape(cfg.model_dim) @ wo
+            x = x + _silu(self._rms(x, mlp_norm) @ mlp_in) @ mlp_out
         logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
-        return StepOutput(logits, rows, new_keys, new_values)
+        if not include_new_kv:
+            return StepOutput(logits, rows, None, None)
+        return StepOutput(logits, rows, cache.keys[:, :, n], cache.values[:, :, n])
 
     # --- batch oracle path ----------------------------------------------------
 

@@ -315,6 +315,16 @@ class TestReportCommand:
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_OK
 
+    def test_record_with_malformed_score_pair_exits_2(self, tmp_path, capsys):
+        path, _record = self._record_file(tmp_path)
+        data = json.loads(path.read_text())
+        probe = next(p for p in data["probe_records"] if p["scores"])
+        probe["scores"][0][2] = [["token", 0.5]]
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "InputFormatError" in err and str(path) in err
+
     def test_occupancy_series_covers_every_step(self, tmp_path):
         path, record = self._record_file(tmp_path)
         out = tmp_path / "rep"

@@ -428,6 +428,46 @@ class TestRunRecord:
         assert loaded.probe_rounds == record.probe_rounds
         assert loaded.to_dict() == record.to_dict()
 
+    def test_compact_scores_render_as_the_old_lists(self):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        texts = ["Q:", "So", " a", " b", ".", " Then", " c", " d", ".", " Wait", " e"]
+        cfg = model.config
+        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
+        for i in range(len(texts)):
+            decode_step(state, model, 10 + i, i)
+        trace = ReasoningTrace(tuple(Token(i, 10 + i, text) for i, text in enumerate(texts)), 1)
+        record, artifacts = probe_cycle(
+            state, model, trace, default_marker_set(), small_probe(),
+            PolicyKind.HIERARCHICAL, EvictionBudget(1),
+        )
+        scores = artifacts.scores
+        old = [
+            [layer, head, [[t, s] for t, s in sorted(scores.head_scores(layer, head).items())]]
+            for layer in range(scores.num_layers)
+            for head in range(scores.num_heads)
+        ]
+        assert sum(len(pairs) for _l, _h, pairs in old) > 0
+        expected = dict(record.to_dict(), scores=old)
+        assert json.dumps(record.to_dict()) == json.dumps(expected)
+        assert [(l, h, list(pairs)) for l, h, pairs in record.scores] == \
+            [(l, h, [tuple(p) for p in pairs]) for l, h, pairs in old]
+
+    def test_loaded_record_holds_compact_scores(self):
+        cfg = TinyModelConfig(rng_seed=6)
+        record = run(cfg, PROMPT, make_config(policy=PolicyKind.HIERARCHICAL,
+                                              budget=EvictionBudget(2), max_new=20))
+        from thinkprune.engine import HEAD_END, SCORE_PAIR, RoundScores, RunRecord
+
+        loaded = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
+        rounds = [(a, b) for a, b in zip(record.probe_records, loaded.probe_records) if a.scores]
+        assert rounds
+        for original, again in rounds:
+            assert isinstance(again.scores, RoundScores)
+            assert again.scores.pairs.dtype == SCORE_PAIR and again.scores.heads.dtype == HEAD_END
+            assert again.scores == original.scores
+            assert again.scores.pairs.tobytes() == original.scores.pairs.tobytes()
+            assert again.scores.heads.tobytes() == original.scores.heads.tobytes()
+
     def test_timings_excluded_from_canonical_form(self):
         cfg = TinyModelConfig(rng_seed=6)
         record = run(cfg, PROMPT, make_config(max_new=10))

@@ -258,3 +258,152 @@ class TestAttentionPaths:
         mask[0, 0, 2, 2] = False
         with pytest.raises(ValueError):
             model.reference_forward([5, 6, 7], key_mask=mask)
+
+
+# The formulas forward_step used before its rewrite, kept verbatim.
+def _silu_old(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = x[~pos] * ex / (1.0 + ex)
+    return out
+
+
+def _rms_old(x, gain):
+    scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-6)
+    return x / scale * gain
+
+
+def _bitwise_equal(a, b):
+    # compares bit patterns, so -0.0 and 0.0 differ
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _numeric_cases(seed=0, count=300):
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1e-310, -1e-310, 745.0, -745.0, 800.0, -800.0,
+                        1e300, -1e300, 36.0, -36.0, 710.0, -710.0])
+    yield special
+    for i in range(count):
+        scale = 10.0 ** rng.uniform(-8, 3)
+        x = rng.standard_normal(int(rng.integers(1, 300))) * scale
+        x[rng.random(x.size) < 0.05] = 0.0
+        x[rng.random(x.size) < 0.05] = -0.0
+        yield x if i % 2 else np.concatenate([x, rng.choice(special, 7)])
+
+
+class TestStepNumerics:
+    """forward_step's rewritten numerics give the same bits as the formulas they replace."""
+
+    BENCH_SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16)
+
+    def test_silu_matches_old_formula_bitwise(self):
+        from thinkprune.model import _silu
+
+        for x in _numeric_cases():
+            assert _bitwise_equal(_silu(x), _silu_old(x))
+
+    def test_rms_matches_mean_formula_bitwise(self):
+        model = TinyDecoder(TinyModelConfig(rng_seed=0))
+        rng = np.random.default_rng(1)
+        for x in _numeric_cases(seed=2):
+            x = x[np.abs(x) < 1e150]  # squares stay finite
+            gain = rng.standard_normal(x.size)
+            assert _bitwise_equal(model._rms(x, gain), _rms_old(x, gain))
+            rows = np.stack([x, -x, 2.0 * x])
+            assert _bitwise_equal(model._rms(rows, gain), _rms_old(rows, gain))
+
+    def test_rope_tables_match_rope_at_every_position(self):
+        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=512))
+        cfg = model.config
+        heads = np.random.default_rng(3).standard_normal((2 * cfg.num_heads, cfg.head_dim))
+        for position in range(cfg.max_seq_len):
+            assert _bitwise_equal(model._rope_at(heads, position), model._rope(heads, position))
+
+    def test_fused_projection_matches_separate_products(self):
+        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE))
+        rng = np.random.default_rng(4)
+        for layer, (_norm, wqkv, *_rest) in enumerate(model._layers):
+            separate = [model._w[f"layers.{layer}.w{p}"] for p in "qkv"]
+            for _ in range(200):
+                u = rng.standard_normal(model.config.model_dim)
+                assert _bitwise_equal(u @ wqkv, np.concatenate([u @ w for w in separate]))
+
+    def test_loaded_weights_rebuild_the_fused_matrices(self, tmp_path):
+        model = TinyDecoder(TinyModelConfig(rng_seed=1))
+        model._weights32["layers.1.wk"] = np.ones_like(model._weights32["layers.1.wk"])
+        path = tmp_path / "model.bin"
+        model.save(path)
+        loaded = TinyDecoder.load(path)
+        d = loaded.config.model_dim
+        assert (loaded._layers[1][1][:, d:2 * d] == 1.0).all()
+
+
+class TestInPlaceKv:
+    """forward_step writes its new key/value into the cache slot at next_index."""
+
+    @pytest.mark.parametrize("length", [5, 64])
+    def test_unappended_forward_leaves_cache_unchanged(self, length):
+        # 64 fills the initial capacity, so the forward also grows the cache
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        cfg = model.config
+        ids = [10 + (7 * i) % 50 for i in range(length)]
+        state, _ = _decode_sequence(model, ids, prompt_len=1)
+        state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
+            (0, 0): frozenset({2, 3}), (0, 1): frozenset({3, 4}),
+            (1, 0): frozenset({4}), (1, 1): frozenset({2}),
+        }))
+        live = state.live[:, :, :length].copy()
+        keys = state.keys[:, :, :length].copy()
+        values = state.values[:, :, :length].copy()
+        evicted = state.evicted_total
+        out = model.forward_step(state, 9, length)
+        assert state.next_index == length
+        assert state.evicted_total == evicted == 6
+        assert (state.live[:, :, :length] == live).all()
+        assert not state.live[:, :, length:].any()
+        assert _bitwise_equal(state.keys[:, :, :length], keys)
+        assert _bitwise_equal(state.values[:, :, :length], values)
+        # the new key is in the slot, and append commits exactly it
+        assert (state.keys[:, :, length] == out.keys).all()
+        state.append(length, out.keys, out.values)
+        assert state.is_live(0, 0, length)
+
+    @pytest.mark.parametrize("probe_at", [None, 50])
+    def test_decode_and_probe_across_capacity_growth_match_reference(self, probe_at):
+        # The cache starts with room for 64 tokens. Without a probe, decoding
+        # itself crosses that; with one, the 25 probe tokens at 50-74 do,
+        # and decoding resumes over the grown, pruned cache.
+        from thinkprune.engine import probe_cycle
+        from thinkprune.policy import EvictionBudget, PolicyKind
+        from thinkprune.scoring import default_probe
+        from thinkprune.trace import ReasoningTrace, Token, default_marker_set
+
+        model = TinyDecoder(TinyModelConfig(rng_seed=5, max_seq_len=160))
+        cfg = model.config
+        prompt_len = 8
+        ids = np.random.default_rng(6).integers(NUM_RESERVED_IDS, cfg.vocab_size, 110).tolist()
+        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim,
+                             ProtectedRegions(prompt_len, 0))
+        masks = np.zeros((cfg.num_layers, cfg.num_heads, len(ids), len(ids)), dtype=bool)
+        logits = []
+        for position, tid in enumerate(ids):
+            if position == probe_at:
+                trace = ReasoningTrace(
+                    tuple(Token(i, t, token_text(t)) for i, t in enumerate(ids[:position])),
+                    prompt_len,
+                )
+                record, _ = probe_cycle(state, model, trace, default_marker_set(),
+                                        default_probe(), PolicyKind.RANDOM, EvictionBudget(6),
+                                        eviction_seed=1)
+                assert record.ran_probe and record.evicted_total > 0
+                assert state.live.shape[2] == 128
+            for (layer, head), live in state.live_sets().items():
+                masks[layer, head, position, list(live)] = True
+            masks[:, :, position, position] = True
+            logits.append(decode_step(state, model, tid, position).logits)
+        assert state.live.shape[2] == 128
+        ref = model.reference_forward(ids, key_mask=masks)
+        rel = np.max(np.abs(np.stack(logits) - ref) / (np.abs(ref) + 1e-9))
+        assert rel < 1e-6
