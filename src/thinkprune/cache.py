@@ -10,13 +10,13 @@ immutable copies.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
-from .policy import EvictionPlan, VictimSelector
+from .policy import EvictionPlan, Ranker, lowest_keyed
 
 # Token positions allocated up front; append doubles the arrays when full.
 _INITIAL_CAPACITY = 64
@@ -183,22 +183,17 @@ class KvCacheState:
         """Remove every planned token; validates the whole plan before mutating.
 
         Returns the number of entries removed. Raises UnknownToken or
-        ProtectedTokenEviction (leaving the state untouched) if the plan is
-        invalid.
+        ProtectedTokenEviction (leaving the state untouched) for the first
+        invalid token, checking each head's tokens in ascending order.
         """
         if plan.num_layers != self.num_layers or plan.num_heads != self.num_heads:
             raise ValueError(
                 f"plan dimensions ({plan.num_layers}, {plan.num_heads}) do not match "
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
-        return self._evict(plan.evicted, sequence_end)
-
-    def _evict(self, victims: Mapping[tuple[int, int], Collection[int]], sequence_end: int | None) -> int:
-        """Clear every named token's live bit once all pass, checking each head's
-        in ascending order: UnknownToken if not live, ProtectedTokenEviction if
-        not evictable; either leaves the state untouched. Returns the count."""
         evictable = self.evictable(sequence_end=sequence_end)
-        for (layer, head), tokens in victims.items():
+        victims = np.zeros_like(evictable)
+        for (layer, head), tokens in plan.evicted.items():
             for token in sorted(tokens):
                 if not self.is_live(layer, head, token):
                     raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
@@ -206,9 +201,14 @@ class KvCacheState:
                     raise ProtectedTokenEviction(
                         f"token {token} at ({layer}, {head}) is prompt or recent-window protected"
                     )
-        for (layer, head), tokens in victims.items():
-            self.live[layer, head, list(tokens)] = False
-        removed = sum(map(len, victims.values()))
+                victims[layer, head, token] = True
+        return self._evict(victims)
+
+    def _evict(self, victims: np.ndarray) -> int:
+        """Clear the live bits of victims, a (layers, heads, next_index) mask
+        of evictable tokens. The only code that evicts; returns the count."""
+        self.live[:, :, :self.next_index] &= ~victims
+        removed = int(np.count_nonzero(victims))
         self.evicted_total += removed
         return removed
 
@@ -240,34 +240,31 @@ class KvCacheState:
         )
 
 
-def enforce_budget(state: KvCacheState, budget: CacheBudget, select_victims: VictimSelector) -> int:
+def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> int:
     """Make room for one incoming token under a cache budget.
 
-    If any (layer, head) would exceed max_slots non-prompt live entries
-    after the next append, the selector picks exactly the overflow from that
-    head's evictable tokens (the cache's own recent window applies), and
-    those are evicted now; heads may evict different counts. Every choice is
-    validated before any entry is removed. Returns the number evicted.
+    Every (layer, head) that would exceed max_slots non-prompt live entries
+    after the next append evicts its overflow now: its lowest-keyed
+    evictable tokens (the cache's own recent window applies), keyed by one
+    rank call for all heads. Raises BudgetInfeasible, changing nothing, when
+    a head has fewer evictable tokens than its overflow. Returns the count.
     """
     recent = state.protected.recent_window
     if budget.max_slots < recent:
         raise BudgetInfeasible(
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
         )
-    overflow = np.count_nonzero(state.live[:, :, state.prompt_len:], axis=2) + 1 - budget.max_slots
-    evictable = state.evictable()
-    chosen: dict[tuple[int, int], list[int]] = {}
-    for layer, head in np.argwhere(overflow > 0).tolist():
-        count = int(overflow[layer, head])
-        eligible = np.flatnonzero(evictable[layer, head]).tolist()
-        if len(eligible) < count:
-            raise BudgetInfeasible(
-                f"(layer {layer}, head {head}) must evict {count} but only "
-                f"{len(eligible)} tokens are eligible"
-            )
-        victims = list(select_victims(layer, head, eligible, count))
-        picked = set(victims)
-        if len(victims) != count or len(picked) != count or not picked <= set(eligible):
-            raise ValueError("victim selector returned an invalid choice")
-        chosen[(layer, head)] = victims
-    return state._evict(chosen, None)
+    overflow = np.maximum(
+        np.count_nonzero(state.live[:, :, state.prompt_len:], axis=2) + 1 - budget.max_slots, 0)
+    if not overflow.any():
+        return 0
+    eligible = state.evictable()
+    available = np.count_nonzero(eligible, axis=2)
+    short = np.argwhere(overflow > available).tolist()
+    if short:
+        layer, head = short[0]
+        raise BudgetInfeasible(
+            f"(layer {layer}, head {head}) must evict {overflow[layer, head]} but only "
+            f"{available[layer, head]} tokens are eligible"
+        )
+    return state._evict(lowest_keyed(eligible, overflow, rank(eligible, overflow)))

@@ -22,17 +22,16 @@ from .policy import (
     EvictionPlan,
     H2OAccumulator,
     PolicyKind,
+    Ranker,
     StepAllocation,
-    VictimSelector,
     allocate,
     h2o_scores,
-    lowest_scores,
     oldest_first,
     plan_from_allocation,
     plan_h2o,
     plan_oldest,
     plan_random,
-    random_victims,
+    policy_ranker,
     round_ranking,
 )
 from .scoring import (
@@ -288,12 +287,6 @@ def _dense_dump(rows: np.ndarray, probe_position: int) -> dict:
     }
 
 
-def _live_weights(state: KvCacheState, rows: np.ndarray, layer: int, head: int) -> dict[int, float]:
-    """{live key token: weight} of one (layer, head) of the last step's rows."""
-    positions = np.flatnonzero(state.live[layer, head, :rows.shape[2]])
-    return dict(zip(positions.tolist(), rows[layer, head, positions].tolist()))
-
-
 def plan_round(
     policy: PolicyKind,
     scores: ScoreTensor,
@@ -452,9 +445,9 @@ def run(
     protected = ProtectedRegions(len(prompt_tokens), recent)
     state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, protected)
     h2o = H2OAccumulator(cfg.num_layers, cfg.num_heads) if config.policy is PolicyKind.H2O else None
-    # Under a ratio cap: random draws afresh per append; ours re-ranks after
-    # every probe round.
-    select: VictimSelector = lowest_scores(h2o.history()) if h2o is not None else oldest_first
+    # Under a ratio cap, h2o ranks by accumulated attention and ours by its
+    # latest probe round (oldest first before any).
+    ranking: Ranker = h2o.rank if h2o is not None else oldest_first
     # Ratio caps evict at append time; probe rounds then only refresh scores,
     # which only the hierarchical policy consumes.
     probes_enabled = config.policy is not None and (
@@ -483,18 +476,15 @@ def run(
         position = len(tokens)
         step_started = perf_counter()
         if ratio_budget is not None:
-            if config.policy is PolicyKind.RANDOM:
-                select = random_victims((config.eviction_seed, position))
-            enforce_budget(state, ratio_budget, select)
+            enforce_budget(state, ratio_budget, policy_ranker(
+                config.policy, seed=(config.eviction_seed, position), ranking=ranking))
         out = decode_step(state, model, next_id, position)
         logits = out.logits
         timings["decode_ms"] += (perf_counter() - step_started) * 1e3
         tokens.append(Token(position, next_id, token_text(next_id)))
         generated.append(next_id)
         if h2o is not None:
-            for layer in range(cfg.num_layers):
-                for head in range(cfg.num_heads):
-                    h2o.update(layer, head, _live_weights(state, out.rows, layer, head))
+            h2o.add(out.rows)
         if next_id == config.probe.think_end_token_id and reasoning_active:
             reasoning_active = False
             reason_len = len(generated) - 1
@@ -518,7 +508,7 @@ def run(
             timings["probe_ms"] += (perf_counter() - probe_started) * 1e3
             records.append(record)
             if artifacts is not None and ratio_budget is not None:
-                select = round_ranking(artifacts.scores, artifacts.seg, artifacts.step_scores)
+                ranking = round_ranking(artifacts.scores, artifacts.seg, artifacts.step_scores)
             if record.evicted_total > 0:
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:

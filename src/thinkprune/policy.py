@@ -7,14 +7,17 @@ independently per head. Random, accumulated-attention (h2o) and
 oldest-first (streaming) baselines share the plan type; plan_streaming
 is the unbudgeted first/recent window form of streaming.
 
-Each baseline's victim rule is one VictimSelector. Periodic rounds apply it
-through plan_by_selector; ratio caps pass the same selector to
-cache.enforce_budget.
+Every baseline, and the hierarchical policy under a ratio cap, ranks its
+victims with a Ranker: one call per probe round or capped append gives a
+key to every (layer, head, position) slot. lowest_keyed is the only code
+that turns keys into victims: per (layer, head), the eligible slots with
+the lowest keys, ties to the smaller position. Probe rounds reach it
+through plan_by_selector, ratio caps through cache.enforce_budget, and
+policy_ranker maps each PolicyKind to its Ranker for both.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -25,8 +28,9 @@ from .errors import BudgetExceedsStep
 from .scoring import LivePredicate, ScoreTensor, StepScores, ranked_step_order
 from .trace import Segmentation, Step
 
-# (layer, head, eligible_tokens_oldest_first, count) -> tokens to evict
-VictimSelector = Callable[[int, int, list[int], int], list[int]]
+# (eligible (layers, heads, n) mask, counts to evict (layers, heads)) ->
+# (layers, heads, n) finite keys; lower keys are evicted first
+Ranker = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class PolicyKind(str, Enum):
@@ -177,65 +181,105 @@ def build_plan(
     )
 
 
-def oldest_first(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-    """Streaming: evict the oldest eligible tokens."""
-    return eligible[:count]
+def lowest_keyed(eligible: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(layers, heads, n) mask of the counts[layer, head] eligible slots with
+    the lowest keys per (layer, head), ties to the smaller position.
+
+    counts must not exceed a head's eligible slots and keys must be finite,
+    so the ineligible slots, keyed inf here, always sort after them.
+    """
+    order = np.argsort(np.where(eligible, keys, np.inf), axis=2, kind="stable")
+    first = order[:, :, :counts.max(initial=0)]
+    picked = np.zeros_like(eligible)
+    np.put_along_axis(picked, first, np.arange(first.shape[2]) < counts[..., None], axis=2)
+    return picked
 
 
-def random_victims(seed_prefix: Sequence[int]) -> VictimSelector:
+def oldest_first(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Streaming: one key for every slot, so the oldest eligible go first."""
+    return np.zeros(eligible.shape)
+
+
+def random_victims(seed_prefix: Sequence[int]) -> Ranker:
     """Uniform draw without replacement, seeded by (*seed_prefix, layer, head).
 
     The generator is split deterministically per (layer, head), so the draw
-    does not depend on the order in which heads are visited.
+    does not depend on the order in which heads are visited. Drawn slots key
+    0 and all others 1.
     """
     prefix = list(seed_prefix)
 
-    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-        rng = np.random.default_rng(prefix + [layer, head])
-        picked = rng.choice(len(eligible), size=count, replace=False)
-        return [eligible[int(i)] for i in picked]
+    def rank(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        keys = np.ones(eligible.shape)
+        for layer, head in np.argwhere(counts > 0).tolist():
+            positions = np.flatnonzero(eligible[layer, head])
+            rng = np.random.default_rng(prefix + [layer, head])
+            drawn = rng.choice(len(positions), size=int(counts[layer, head]), replace=False)
+            keys[layer, head, positions[drawn]] = 0.0
+        return keys
 
-    return select
-
-
-def lowest_scores(head_scores: Mapping[tuple[int, int], Mapping[int, float]]) -> VictimSelector:
-    """Evict the lowest-scoring tokens; unscored tokens count as zero and
-    ties break toward the smaller token index."""
-
-    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-        score = head_scores.get((layer, head), {})
-        return sorted(eligible, key=lambda t: (score.get(t, 0.0), t))[:count]
-
-    return select
+    return rank
 
 
-def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScores) -> VictimSelector:
-    """Ratio-cap victims for the hierarchical policy, from one probe round.
+def _score_array(head_scores: Mapping[tuple[int, int], Mapping[int, float]],
+                 shape: tuple[int, int, int], unscored: float) -> np.ndarray:
+    """The scores of the tokens below shape[2] as a (layers, heads, width) array."""
+    array = np.full(shape, unscored)
+    for (layer, head), score in head_scores.items():
+        for token, value in score.items():
+            if 0 <= token < shape[2]:
+                array[layer, head, token] = value
+    return array
 
-    Tokens rank by their step's score, then their own score, then index;
-    tokens the round did not score go last. Before any round, oldest_first
-    gives the same order.
+
+def lowest_scores(head_scores: Mapping[tuple[int, int], Mapping[int, float]]) -> Ranker:
+    """Each slot keyed by its score; unscored slots score zero."""
+    return lambda eligible, counts: _score_array(head_scores, eligible.shape, 0.0)
+
+
+def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScores) -> Ranker:
+    """Ratio-cap keys for the hierarchical policy, from one probe round.
+
+    Tokens rank by their step's score, then their own score, then position;
+    tokens the round did not score rank after those it did. One lexsort
+    turns this into integer ranks below the round's width, and tokens
+    generated after the round key their position, which is at least that
+    width, so they go last, oldest first.
     """
-    inf = float("inf")
-    step_value = {
-        (layer, sid): value
-        for layer, entries in step_scores.by_layer.items()
-        for sid, value in entries
-    }
-    step_of = {
-        token: sid for sid, step in enumerate(seg.steps) for token in range(step.start, step.end)
-    }
+    width = seg.trace_len
+    shape = (scores.num_layers, scores.num_heads, width)
+    step_value = np.full((scores.num_layers, width), np.inf)
+    for layer, entries in step_scores.by_layer.items():
+        for sid, value in entries:
+            step_value[layer, seg.steps[sid].start:seg.steps[sid].end] = value
+    token_value = _score_array(scores.scores, shape, np.inf)
+    positions = np.broadcast_to(np.arange(width, dtype=float), shape)
+    order = np.lexsort((positions, token_value, np.broadcast_to(step_value[:, None], shape)))
+    ranks = np.empty(shape)
+    np.put_along_axis(ranks, order, positions, axis=2)
 
-    def select(layer: int, head: int, eligible: list[int], count: int) -> list[int]:
-        head_scores = scores.head_scores(layer, head)
+    def rank(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        keys = np.broadcast_to(np.arange(eligible.shape[2], dtype=float), eligible.shape).copy()
+        keys[:, :, :width] = ranks[:, :, :eligible.shape[2]]
+        return keys
 
-        def rank(token: int) -> tuple[float, float, int]:
-            step_c = step_value.get((layer, step_of.get(token)), inf)
-            return (step_c, head_scores.get(token, inf), token)
+    return rank
 
-        return sorted(eligible, key=rank)[:count]
 
-    return select
+def policy_ranker(
+    policy: PolicyKind, *, seed: Sequence[int] = (), ranking: Ranker = oldest_first
+) -> Ranker:
+    """The one PolicyKind to Ranker mapping, for probe rounds and ratio caps.
+
+    random draws afresh from the seed prefix and streaming keeps the oldest;
+    h2o and the hierarchical policy rank by ranking: accumulated attention,
+    or under a cap the latest probe round (oldest first before any).
+    """
+    if policy is PolicyKind.RANDOM:
+        return random_victims(seed)
+    if policy is PolicyKind.STREAMING:
+        return oldest_first
+    return ranking
 
 
 def plan_by_selector(
@@ -244,18 +288,19 @@ def plan_by_selector(
     seq_len: int,
     live: LivePredicate,
     budget: EvictionBudget,
-    select: VictimSelector,
+    rank: Ranker,
 ) -> EvictionPlan:
-    """Evict min(k, live) tokens per (layer, head), chosen by select."""
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            eligible = _live_in_span(0, seq_len, layer, head, live)
-            take = min(budget.k, len(eligible))
-            evicted[(layer, head)] = (
-                frozenset(select(layer, head, eligible, take)) if take else frozenset()
-            )
-    return EvictionPlan(num_layers, num_heads, evicted)
+    """Evict the min(k, live) lowest-keyed live tokens per (layer, head)."""
+    eligible = np.array([[[live(layer, head, t) for t in range(seq_len)]
+                          for head in range(num_heads)]
+                         for layer in range(num_layers)], dtype=bool)
+    counts = np.minimum(budget.k, np.count_nonzero(eligible, axis=2))
+    picked = lowest_keyed(eligible, counts, rank(eligible, counts))
+    return EvictionPlan(num_layers, num_heads, {
+        (layer, head): frozenset(np.flatnonzero(picked[layer, head]).tolist())
+        for layer in range(num_layers)
+        for head in range(num_heads)
+    })
 
 
 def plan_random(
@@ -268,32 +313,62 @@ def plan_random(
 ) -> EvictionPlan:
     """Uniform random eviction of min(k, live) tokens per (layer, head)."""
     prefix = [seed] if isinstance(seed, int) else seed
-    return plan_by_selector(num_layers, num_heads, seq_len, live, budget, random_victims(prefix))
+    return plan_by_selector(num_layers, num_heads, seq_len, live, budget,
+                            policy_ranker(PolicyKind.RANDOM, seed=prefix))
 
 
 class H2OAccumulator:
     """Running sum of attention received per token at each (layer, head).
 
-    Feed it the attention row of every normal decode step after the prompt;
-    it is never reset during a run.
+    sums and fed are (layers, heads, capacity) arrays: each token's sum, and
+    whether it was ever fed. Feed the dense rows of every normal decode step
+    after the prompt; the sums are never reset during a run. Rows are
+    exactly 0.0 at dead columns, so adding whole rows gives every token the
+    same sum, bit for bit, as adding only its live weights step by step.
     """
 
     def __init__(self, num_layers: int, num_heads: int):
         self.num_layers = num_layers
         self.num_heads = num_heads
-        self._acc: dict[tuple[int, int], defaultdict[int, float]] = {
-            (layer, head): defaultdict(float)
-            for layer in range(num_layers)
-            for head in range(num_heads)
-        }
+        self.sums = np.zeros((num_layers, num_heads, 0))
+        self.fed = np.zeros(self.sums.shape, dtype=bool)
+
+    def _reserve(self, width: int) -> None:
+        capacity = self.sums.shape[2]
+        if width > capacity:
+            grow = ((0, 0), (0, 0), (0, max(width, 2 * capacity) - capacity))
+            self.sums = np.pad(self.sums, grow)
+            self.fed = np.pad(self.fed, grow)
+
+    def add(self, rows: np.ndarray) -> None:
+        """Add one decode step's (layers, heads, width) rows. Every column
+        counts as fed: each token was live, so fed, at its own step."""
+        width = rows.shape[2]
+        self._reserve(width)
+        self.sums[:, :, :width] += rows
+        self.fed[:, :, :width] = True
 
     def update(self, layer: int, head: int, row: Mapping[int, float]) -> None:
-        acc = self._acc[(layer, head)]
-        for token, weight in row.items():
-            acc[token] += float(weight)
+        """Add one (layer, head)'s {token: weight} row."""
+        tokens = list(row)
+        self._reserve(max(tokens, default=-1) + 1)
+        self.sums[layer, head, tokens] += list(row.values())
+        self.fed[layer, head, tokens] = True
 
     def history(self) -> Mapping[tuple[int, int], Mapping[int, float]]:
-        return self._acc
+        """{(layer, head): {fed token: sum}}."""
+        return {
+            (layer, head): dict(zip(np.flatnonzero(self.fed[layer, head]).tolist(),
+                                    self.sums[layer, head, self.fed[layer, head]].tolist()))
+            for layer in range(self.num_layers)
+            for head in range(self.num_heads)
+        }
+
+    def rank(self, eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Ranker: each slot keyed by its accumulated attention, 0 if never fed."""
+        keys = np.zeros(eligible.shape)
+        keys[:, :, :self.sums.shape[2]] = self.sums[:, :, :eligible.shape[2]]
+        return keys
 
 
 def h2o_scores(
@@ -323,7 +398,7 @@ def plan_h2o(
 ) -> EvictionPlan:
     """Evict the k lowest accumulated-attention tokens per head, no step structure."""
     return plan_by_selector(scores.num_layers, scores.num_heads, seq_len, live, budget,
-                            lowest_scores(scores.scores))
+                            policy_ranker(PolicyKind.H2O, ranking=lowest_scores(scores.scores)))
 
 
 def plan_streaming(
@@ -355,7 +430,8 @@ def plan_oldest(
 ) -> EvictionPlan:
     """Evict the k oldest live candidates per (layer, head): the per-round
     budgeted analog of streaming retention."""
-    return plan_by_selector(num_layers, num_heads, seq_len, live, budget, oldest_first)
+    return plan_by_selector(num_layers, num_heads, seq_len, live, budget,
+                            policy_ranker(PolicyKind.STREAMING))
 
 
 def plan_to_dict(plan: EvictionPlan, allocation: StepAllocation | None = None) -> dict:

@@ -19,9 +19,11 @@ from thinkprune.errors import (
 from thinkprune.policy import (
     EvictionBudget,
     EvictionPlan,
-    lowest_scores,
+    H2OAccumulator,
+    PolicyKind,
     oldest_first,
     plan_by_selector,
+    policy_ranker,
     random_victims,
 )
 
@@ -147,13 +149,14 @@ class TestEnforceBudget:
         budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=4)
         seen = {}
 
-        def take_oldest(layer, head, eligible, count):
-            seen["eligible"] = list(eligible)
-            return eligible[:count]
+        def take_oldest(eligible, counts):
+            seen["eligible"], seen["counts"] = eligible.copy(), counts.copy()
+            return oldest_first(eligible, counts)
 
         evicted = enforce_budget(state, budget, take_oldest)
         assert evicted == 1
-        assert seen["eligible"] == [2, 3, 4, 5]
+        assert np.flatnonzero(seen["eligible"][0, 0]).tolist() == [2, 3, 4, 5]
+        assert seen["counts"].tolist() == [[1]]
         assert state.live_indices(0, 0) == (0, 1, 3, 4, 5, 6, 7, 8, 9)
         state.append(10, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
         assert state.live_nonprompt_count(0, 0) == 8
@@ -161,17 +164,17 @@ class TestEnforceBudget:
     def test_below_cap_appends_without_eviction(self):
         state = fill_cache(1, 1, 4, prompt_len=2, total=6, recent=2)
         budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=2)
-        assert enforce_budget(state, budget, lambda l, h, e, c: e[:c]) == 0
+        assert enforce_budget(state, budget, oldest_first) == 0
 
     def test_infeasible_window(self):
         state = fill_cache(1, 1, 4, prompt_len=1, total=4, recent=4)
         budget = CacheBudget(ratio=0.5, max_slots=2, recent_window=4)
         with pytest.raises(BudgetInfeasible):
-            enforce_budget(state, budget, lambda l, h, e, c: e[:c])
+            enforce_budget(state, budget, oldest_first)
 
     @pytest.mark.parametrize("policy", ["random", "h2o", "streaming"])
     def test_selector_evicts_what_a_periodic_plan_picks(self, policy):
-        # The same selector under a cap and in a periodic plan with k equal
+        # The same ranker under a cap and in a periodic plan with k equal
         # to the overflow, over the same eligible tokens, picks the same victims.
         state = fill_cache(2, 2, 4, prompt_len=2, total=14, recent=3)
         state.apply_plan(EvictionPlan(2, 2, {
@@ -180,13 +183,11 @@ class TestEnforceBudget:
         }))
         budget = CacheBudget(max_slots=7, recent_window=3)
         rng = np.random.default_rng(3)
-        history = {(l, h): {t: float(rng.integers(0, 4)) for t in range(2, 14) if t % 3}
-                   for l in range(2) for h in range(2)}
-        select = {
-            "random": random_victims((7, state.next_index)),
-            "h2o": lowest_scores(history),
-            "streaming": oldest_first,
-        }[policy]
+        h2o = H2OAccumulator(2, 2)
+        for l in range(2):
+            for h in range(2):
+                h2o.update(l, h, {t: float(rng.integers(0, 4)) for t in range(2, 14) if t % 3})
+        rank = policy_ranker(PolicyKind(policy), seed=(7, state.next_index), ranking=h2o.rank)
         end = state.next_index
 
         def eligible(layer, head, token):
@@ -195,9 +196,9 @@ class TestEnforceBudget:
         # 11 non-prompt live per head: evict 5 of the 8 eligible
         overflow = state.live_nonprompt_count(0, 0) + 1 - budget.max_slots
         assert overflow == 5
-        plan = plan_by_selector(2, 2, end, eligible, EvictionBudget(overflow), select)
+        plan = plan_by_selector(2, 2, end, eligible, EvictionBudget(overflow), rank)
         before = state.live_sets()
-        assert enforce_budget(state, budget, select) == 4 * overflow
+        assert enforce_budget(state, budget, rank) == 4 * overflow
         after = state.live_sets()
         assert {key: before[key] - after[key] for key in before} == dict(plan.evicted)
 
@@ -213,18 +214,19 @@ class TestEnforceBudget:
         assert state.live_sets() == {(0, 0): frozenset(), (0, 1): frozenset()}
         assert state.evicted_total == 7
 
-    def test_invalid_choice_leaves_state_unchanged(self):
+    def test_failing_ranker_leaves_state_unchanged(self):
         state = fill_cache(1, 2, 4, prompt_len=1, total=8)
         budget = CacheBudget(max_slots=6, recent_window=0)
 
-        def bad_second_head(layer, head, eligible, count):
-            return eligible[:count] if head == 0 else [0] * count
+        def failing(eligible, counts):
+            raise RuntimeError("ranker failed")
 
-        before = state.live_sets()
-        with pytest.raises(ValueError):
-            enforce_budget(state, budget, bad_second_head)
-        assert state.live_sets() == before
+        live = state.live.copy()
+        with pytest.raises(RuntimeError, match="ranker failed"):
+            enforce_budget(state, budget, failing)
+        assert (state.live == live).all()
         assert state.evicted_total == 0
+        assert state.next_index == 8
 
     def test_ratio_resolution_and_default_window(self):
         budget = CacheBudget.from_ratio(0.25, 130.0)

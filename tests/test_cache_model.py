@@ -146,18 +146,26 @@ class CacheMachine(RuleBasedStateMachine):
     def enforce_budget(self, max_slots, randomized, seed):
         recent = self.model.recent_window
         budget = CacheBudget(max_slots=max_slots, recent_window=recent)
-        select = random_victims((seed,)) if randomized else oldest_first
+        rank = random_victims((seed,)) if randomized else oldest_first
         model = self.model
         overflow = {key: max(0, model.nonprompt(key) + 1 - max_slots) for key in model.heads}
         eligible = {key: [t for t in model.tokens(key)
                           if model.prompt_len <= t < model.next_index - recent]
                     for key in model.heads}
         if max_slots < recent or any(overflow[key] > len(eligible[key]) for key in model.heads):
-            expect_rejection(BudgetInfeasible, lambda: enforce_budget(self.cache, budget, select))
+            expect_rejection(BudgetInfeasible, lambda: enforce_budget(self.cache, budget, rank))
             return
-        evicted = {key: frozenset(select(key[0], key[1], eligible[key], overflow[key]))
-                   for key in model.heads if overflow[key]}
-        assert enforce_budget(self.cache, budget, select) == sum(map(len, evicted.values()))
+
+        def victims(key):
+            # the oldest, or the reference's own draw seeded by (seed, layer, head)
+            if not randomized:
+                return eligible[key][:overflow[key]]
+            rng = np.random.default_rng([seed, *key])
+            drawn = rng.choice(len(eligible[key]), size=overflow[key], replace=False)
+            return [eligible[key][i] for i in drawn]
+
+        evicted = {key: frozenset(victims(key)) for key in model.heads if overflow[key]}
+        assert enforce_budget(self.cache, budget, rank) == sum(map(len, evicted.values()))
         model.remove(evicted)
 
     @invariant()

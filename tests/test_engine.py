@@ -9,6 +9,7 @@ import pytest
 
 from reference import alg1_reference, h2o_bruteforce
 
+from thinkprune import engine
 from thinkprune.cache import CacheBudget, KvCacheState, ProtectedRegions
 from thinkprune.engine import (
     DecodeConfig,
@@ -19,7 +20,7 @@ from thinkprune.engine import (
 )
 from thinkprune.errors import ProbeLeak
 from thinkprune.model import THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
-from thinkprune.policy import EvictionBudget, EvictionPlan, PolicyKind
+from thinkprune.policy import EvictionBudget, EvictionPlan, H2OAccumulator, PolicyKind
 from thinkprune.scoring import default_probe
 from thinkprune.trace import ReasoningTrace, Token, default_marker_set
 
@@ -361,6 +362,46 @@ class TestH2OWiring:
                for layer, heads in ((e[0], e[1]) for e in first.evicted)
                for head in range(cfg.num_heads)}
         assert got == expected
+
+    @pytest.mark.parametrize("budget", [EvictionBudget(3), CacheBudget(max_slots=24)],
+                             ids=["periodic", "ratio"])
+    def test_array_feed_equals_the_per_head_live_feed(self, monkeypatch, budget):
+        # The run adds each decode step's dense rows whole. The feed it
+        # replaced, written out: per (layer, head), {live token: weight} of
+        # the step's row after its append, added token by token. Both must
+        # agree bit for bit after every step, on the same fed tokens.
+        cfg = TinyModelConfig(rng_seed=1)
+        caches, per_head, checked = [], {}, []
+        original_step = engine.decode_step
+
+        def remember_cache(state, model, token_id, position):
+            caches.append(state)
+            return original_step(state, model, token_id, position)
+
+        class WithOldFeed(H2OAccumulator):
+            def add(self, rows):
+                super().add(rows)
+                live = caches[-1].live
+                for layer in range(self.num_layers):
+                    for head in range(self.num_heads):
+                        positions = np.flatnonzero(live[layer, head, :rows.shape[2]])
+                        acc = per_head.setdefault((layer, head), {})
+                        for token, weight in zip(positions.tolist(),
+                                                 rows[layer, head, positions].tolist()):
+                            acc[token] = acc.get(token, 0.0) + float(weight)
+                hexed = {key: {t: v.hex() for t, v in acc.items()} for key, acc in per_head.items()}
+                assert {key: {t: v.hex() for t, v in acc.items()}
+                        for key, acc in self.history().items()} == hexed
+                checked.append(rows.shape[2])
+
+        monkeypatch.setattr(engine, "decode_step", remember_cache)
+        monkeypatch.setattr(engine, "H2OAccumulator", WithOldFeed)
+        record = run(cfg, PROMPT, make_config(policy=PolicyKind.H2O, budget=budget,
+                                              max_new=80, interval=8))
+        assert record.evicted_total > 0
+        assert len(checked) == record.tokens_generated
+        # the last rows span the 64-slot growth of the cache and the accumulator
+        assert checked[-1] > 64
 
 
 class TestRatioMode:

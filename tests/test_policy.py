@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import alg1_reference, h2o_bruteforce
 from conftest import (
@@ -21,12 +24,16 @@ from thinkprune.policy import (
     allocate,
     build_plan,
     h2o_scores,
+    lowest_keyed,
+    lowest_scores,
     oldest_first,
     plan_h2o,
     plan_oldest,
     plan_random,
     plan_streaming,
     plan_to_dict,
+    policy_ranker,
+    random_victims,
     round_ranking,
     select_within_step,
 )
@@ -334,6 +341,24 @@ class TestPlanOldest:
         assert plan.head_set(0, 0) == frozenset({4})
 
 
+def eviction_order(rank, shape, layer, head, tokens):
+    """The tokens, eligible at (layer, head), in the order rank evicts them.
+
+    Checks that lowest_keyed takes each prefix of that order as its count grows.
+    """
+    eligible = np.zeros(shape, dtype=bool)
+    eligible[layer, head, tokens] = True
+    counts = np.zeros(shape[:2], dtype=int)
+    counts[layer, head] = len(tokens)
+    keys = rank(eligible, counts)
+    order = sorted(tokens, key=lambda t: (keys[layer, head, t], t))
+    for count in range(len(tokens) + 1):
+        counts[layer, head] = count
+        picked = lowest_keyed(eligible, counts, keys)
+        assert np.flatnonzero(picked[layer, head]).tolist() == sorted(order[:count])
+    return order
+
+
 class TestRoundRanking:
     """Ratio-cap victims of the hierarchical policy, ranked from one probe round."""
 
@@ -346,18 +371,97 @@ class TestRoundRanking:
     STEPS = StepScores({0: ((0, 0.6), (1, 0.2)), 1: ((0, 0.1), (1, 0.8))})
 
     def test_lowest_step_score_first_then_token_score(self):
-        select = round_ranking(self.SCORES, self.SEG, self.STEPS)
-        assert select(0, 0, list(range(2, 8)), 6) == [6, 7, 5, 2, 4, 3]
+        rank = round_ranking(self.SCORES, self.SEG, self.STEPS)
+        assert eviction_order(rank, (2, 1, 8), 0, 0, list(range(2, 8))) == [6, 7, 5, 2, 4, 3]
         # layer 1 orders its steps the other way; equal token scores fall to the index
-        assert select(1, 0, list(range(2, 8)), 6) == [2, 3, 4, 5, 6, 7]
-        assert select(0, 0, list(range(2, 8)), 2) == [6, 7]
+        assert eviction_order(rank, (2, 1, 8), 1, 0, list(range(2, 8))) == [2, 3, 4, 5, 6, 7]
 
     def test_tokens_after_the_round_go_last(self):
-        select = round_ranking(self.SCORES, self.SEG, self.STEPS)
-        assert select(0, 0, [2, 6, 8, 9], 4) == [6, 2, 8, 9]
-        assert select(0, 0, [9, 8, 2], 2) == [2, 8]
+        rank = round_ranking(self.SCORES, self.SEG, self.STEPS)
+        assert eviction_order(rank, (2, 1, 10), 0, 0, [2, 6, 8, 9]) == [6, 2, 8, 9]
+        assert eviction_order(rank, (2, 1, 12), 1, 0, [2, 5, 8, 11]) == [2, 5, 8, 11]
 
     def test_oldest_first_before_any_round(self):
-        assert oldest_first(0, 0, [4, 6, 9, 11], 2) == [4, 6]
+        assert eviction_order(oldest_first, (2, 1, 12), 1, 0, [4, 6, 9, 11]) == [4, 6, 9, 11]
         unscored = round_ranking(ScoreTensor(2, 1, {}), self.SEG, StepScores({}))
-        assert unscored(1, 0, [4, 6, 9, 11], 2) == [4, 6]
+        assert eviction_order(unscored, (2, 1, 12), 1, 0, [4, 6, 9, 11]) == [4, 6, 9, 11]
+
+
+# few distinct values, so most keys tie; all finite, -0.0 and the largest included
+TIED_KEYS = (-2.5, -0.0, 0.0, 0.5, 1.0, float(np.finfo(float).max))
+
+
+def reference_lowest_keyed(eligible, counts, keys):
+    """Per head: sorted(eligible positions, key=(key, position))[:count]."""
+    picked = np.zeros_like(eligible)
+    for layer, head in np.ndindex(counts.shape):
+        positions = np.flatnonzero(eligible[layer, head]).tolist()
+        chosen = sorted(positions, key=lambda t: (keys[layer, head, t], t))[:counts[layer, head]]
+        picked[layer, head, chosen] = True
+    return picked
+
+
+class TestLowestKeyed:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_matches_the_sorted_reference(self, data):
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+                 data.draw(st.integers(0, 12)))
+        size = int(np.prod(shape))
+        eligible = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                            dtype=bool).reshape(shape)
+        keys = np.array(data.draw(st.lists(st.sampled_from(TIED_KEYS), min_size=size,
+                                           max_size=size)), dtype=float).reshape(shape)
+        available = np.count_nonzero(eligible, axis=2)
+        counts = np.array([data.draw(st.integers(0, int(limit))) for limit in available.flat],
+                          dtype=int).reshape(shape[:2])
+        picked = lowest_keyed(eligible, counts, keys)
+        assert (picked == reference_lowest_keyed(eligible, counts, keys)).all()
+        assert not (picked & ~eligible).any()
+        assert (np.count_nonzero(picked, axis=2) == counts).all()
+
+    def test_ties_at_the_largest_key_never_reach_ineligible_slots(self):
+        # Eligible slots all keyed at the largest finite float, with
+        # ineligible slots at smaller positions: ineligible slots sort as inf,
+        # strictly after every eligible slot, so the heads evict exactly their
+        # eligible tokens.
+        eligible = np.array([[[False, False, True, False, True, True],
+                              [False, True, False, False, False, True]]])
+        keys = np.where(eligible, np.finfo(float).max, 0.0)
+        picked = lowest_keyed(eligible, np.array([[3, 2]]), keys)
+        assert (picked == eligible).all()
+        picked = lowest_keyed(eligible, np.array([[2, 1]]), keys)
+        assert np.flatnonzero(picked[0, 0]).tolist() == [2, 4]
+        assert np.flatnonzero(picked[0, 1]).tolist() == [1]
+
+
+def every_ranker():
+    """One instance of each Ranker, with keys for tokens before and after a probe round."""
+    seg = make_segmentation(2, [3, 3])
+    scores = ScoreTensor(2, 2, {(layer, head): {t: 0.1 * ((t + head) % 3) for t in range(2, 8)}
+                                for layer in range(2) for head in range(2)})
+    step_scores = StepScores({0: ((0, 0.6), (1, 0.2)), 1: ((0, 0.1), (1, 0.8))})
+    h2o = H2OAccumulator(2, 2)
+    h2o.add(np.full((2, 2, 5), 0.2))
+    rankers = {
+        "oldest_first": oldest_first,
+        "random": random_victims((4, 9)),
+        "lowest_scores": lowest_scores(scores.scores),
+        "round_ranking": round_ranking(scores, seg, step_scores),
+        "h2o": h2o.rank,
+    }
+    for policy in PolicyKind:
+        rankers[f"policy_ranker[{policy.value}]"] = policy_ranker(
+            policy, seed=(1, 2), ranking=h2o.rank)
+    return rankers
+
+
+@pytest.mark.parametrize("name", list(every_ranker()))
+def test_every_ranker_keys_each_slot_finitely(name, rng):
+    rank = every_ranker()[name]
+    for width in (0, 3, 8, 13):
+        eligible = rng.random((2, 2, width)) < 0.6
+        counts = np.count_nonzero(eligible, axis=2) // 2
+        keys = rank(eligible, counts)
+        assert keys.shape == eligible.shape
+        assert np.isfinite(keys).all()

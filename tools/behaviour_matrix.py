@@ -7,9 +7,11 @@
 and writes {cell name: record.to_dict()}. The matrix: the full-cache run,
 and each of ours/random/h2o/streaming under periodic budgets (k, interval,
 recent window) in {(0, 8, 0), (3, 8, 0) with attention dumps, (8, 16, 4),
-(5, 6, 0)} and under ratio caps 0.3 and 0.6 of the full run's average
-occupancy; greedy and sampled decoding; model seeds 0 and 1; two prompts;
-80 new tokens; 2 layers x 3 heads. That is 200 run cells.
+(5, 6, 0)} and under ratio caps 0.15, 0.3 and 0.6 of the full run's
+average occupancy; greedy and sampled decoding; model seeds 0 and 1; two
+prompts; 80 new tokens; 2 layers x 3 heads. That is 232 run cells. The
+tight 0.15 cap makes the hierarchical policy evict tokens generated after
+its latest probe round.
 
 It also records `thinkprune plan` for 320 plan cells, {"exit_code",
 "stdout", "stderr"} each, so a changed error message shows in `compare`.
@@ -50,7 +52,7 @@ PROMPTS = (
     "Problem: a value x times three equals six. So what is x? Let me see.",
 )
 PERIODIC = ((0, 8, 0, False), (3, 8, 0, True), (8, 16, 4, False), (5, 6, 0, False))
-RATIOS = (0.3, 0.6)
+RATIOS = (0.15, 0.3, 0.6)
 RATIO_INTERVAL = 8
 MAX_NEW = 80
 DUMPED = "k3-i8-r0"
