@@ -216,11 +216,13 @@ class KvCacheState:
         """Drop every live entry at index >= start_index from all slots.
 
         Used to retract transient probe tokens; removals are not counted as
-        evictions and next_index rolls back to start_index.
+        evictions and next_index rolls back to start_index. A negative
+        start_index raises ValueError and changes nothing.
         """
-        start = max(start_index, 0)
-        removed = int(np.count_nonzero(self.live[:, :, start:]))
-        self.live[:, :, start:] = False
+        if start_index < 0:
+            raise ValueError(f"remove_suffix start must be >= 0, got {start_index}")
+        removed = int(np.count_nonzero(self.live[:, :, start_index:]))
+        self.live[:, :, start_index:] = False
         self.next_index = min(self.next_index, start_index)
         return removed
 

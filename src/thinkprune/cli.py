@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cache import CacheBudget
 from .engine import FULL_KV_NAME, DecodeConfig, RunRecord, plan_round, run
 from .errors import (
@@ -40,7 +42,6 @@ from .scoring import (
     default_probe,
     extract_token_scores,
     format_step_table,
-    live_everywhere,
     load_attention_dump,
     load_scores,
     scores_to_dict,
@@ -139,20 +140,12 @@ def _load_marker_set(args):
     return default_marker_set()
 
 
-def _scored_predicate(scores: ScoreTensor):
-    def live(layer: int, head: int, token: int) -> bool:
-        return token in scores.head_scores(layer, head)
-
-    return live
-
-
-def _require_equal_step_sizes(seg, live, scores: ScoreTensor) -> None:
+def _require_equal_step_sizes(seg, scores: ScoreTensor) -> None:
     """allocate sizes each step from head 0, so every head of a layer must
     score the same number of tokens in each step."""
     for layer in range(scores.num_layers):
         for sid, step in enumerate(seg.steps):
-            sizes = [sum(live(layer, head, t) for t in range(step.start, step.end))
-                     for head in range(scores.num_heads)]
+            sizes = np.count_nonzero(scores.scored[layer, :, step.start:step.end], axis=1).tolist()
             if len(set(sizes)) > 1:
                 raise InputFormatError(f"layer {layer} step {sid}: heads score {sizes} tokens; "
                                        "every head must score as many as head 0")
@@ -172,7 +165,7 @@ def _score_trace_against_dump(trace, dump) -> ScoreTensor:
             f'dump field "rows" covers {row_len} positions but the trace has '
             f"{len(trace.tokens)} tokens"
         )
-    return extract_token_scores(dump.rows, trace, live_everywhere,
+    return extract_token_scores(dump.rows, trace, np.ones(dump.rows.shape, dtype=bool),
                                 reason_end=_find_reason_end(trace))
 
 
@@ -197,7 +190,7 @@ def cmd_score(args) -> int:
     markers = _load_marker_set(args)
     scores = _score_trace_against_dump(trace, dump)
     seg = segment(trace, markers)
-    step_scores = aggregate_step_scores(scores, seg, _scored_predicate(scores))
+    step_scores = aggregate_step_scores(scores, seg, scores.scored)
     print(format_step_table(step_scores, seg))
     payload = scores_to_dict(scores)
     out = _out_dir(args)
@@ -220,22 +213,20 @@ def cmd_plan(args) -> int:
             scores = load_scores(args.scores)
         else:
             scores = _score_trace_against_dump(trace, load_attention_dump(args.dump))
-        live = _scored_predicate(scores)
+        live = scores.scored
     elif policy in (PolicyKind.HIERARCHICAL, PolicyKind.H2O):
         raise InputFormatError(f'policy "{policy.value}" needs --scores or --dump')
     else:
         # random and streaming read only the tensor's dimensions
         scores = ScoreTensor(args.layers, args.heads, {})
         reason_end = _find_reason_end(trace)
-        bound = seq_len if reason_end is None else reason_end
-
-        def live(layer: int, head: int, token: int) -> bool:
-            return trace.reason_start <= token < bound
+        live = np.zeros((args.layers, args.heads, seq_len), dtype=bool)
+        live[:, :, trace.reason_start:reason_end] = True
 
     seg = step_scores = None
     if policy is PolicyKind.HIERARCHICAL:
         seg = segment(trace, markers)
-        _require_equal_step_sizes(seg, live, scores)
+        _require_equal_step_sizes(seg, scores)
         step_scores = aggregate_step_scores(scores, seg, live)
     plan, allocation = plan_round(policy, scores, seg, step_scores, live, seq_len,
                                   EvictionBudget(args.budget), args.seed)

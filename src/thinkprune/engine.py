@@ -35,7 +35,7 @@ from .policy import (
     round_ranking,
 )
 from .scoring import (
-    LivePredicate,
+    Candidates,
     ProbeConfig,
     ScoreTensor,
     StepScores,
@@ -111,6 +111,22 @@ class RoundScores:
             heads.append((layer, head, len(pairs)))
         self.heads = np.array(heads, dtype=HEAD_END)
         self.pairs = np.array(pairs, dtype=SCORE_PAIR)
+
+    @classmethod
+    def from_tensor(cls, scores: ScoreTensor) -> "RoundScores":
+        """Every (layer, head) of scores in order, its scored tokens ascending:
+        the C order of np.nonzero over the scored mask."""
+        round_scores = cls.__new__(cls)
+        layers, heads, tokens = np.nonzero(scores.scored)
+        round_scores.pairs = np.empty(len(tokens), dtype=SCORE_PAIR)
+        round_scores.pairs["token"] = tokens
+        round_scores.pairs["score"] = scores.values[layers, heads, tokens]
+        layer_of, head_of = np.indices(scores.scored.shape[:2])
+        round_scores.heads = np.empty(layer_of.size, dtype=HEAD_END)
+        round_scores.heads["layer"] = layer_of.ravel()
+        round_scores.heads["head"] = head_of.ravel()
+        round_scores.heads["end"] = np.cumsum(np.count_nonzero(scores.scored, axis=2))
+        return round_scores
 
     def __iter__(self):
         pairs = self.pairs.tolist()
@@ -233,25 +249,6 @@ def requery_logits(state: KvCacheState, model: TinyDecoder, token_id: int, posit
     return model.forward_step(state, token_id, position, include_new_kv=False).logits
 
 
-def eviction_candidates(state: KvCacheState, *, sequence_end: int) -> LivePredicate:
-    """Predicate for tokens a plan may touch: the cache's evictable tokens
-    before sequence_end (probe tokens excluded), as of this call."""
-    evictable = state.evictable(sequence_end=sequence_end)
-
-    def eligible(layer: int, head: int, token: int) -> bool:
-        return 0 <= token < sequence_end and bool(evictable[layer, head, token])
-
-    return eligible
-
-
-def _round_scores(scores: ScoreTensor) -> RoundScores:
-    return RoundScores(
-        (layer, head, sorted(scores.head_scores(layer, head).items()))
-        for layer in range(scores.num_layers)
-        for head in range(scores.num_heads)
-    )
-
-
 def _step_scores_to_lists(step_scores: StepScores) -> list:
     return [
         [layer, [[sid, value] for sid, value in step_scores.layer_entries(layer)]]
@@ -292,7 +289,7 @@ def plan_round(
     scores: ScoreTensor,
     seg: Segmentation | None,
     step_scores: StepScores | None,
-    live: LivePredicate,
+    live: Candidates,
     seq_len: int,
     budget: EvictionBudget,
     seed: int | tuple[int, ...],
@@ -363,11 +360,12 @@ def probe_cycle(
             out = decode_step(state, model, pid, base + offset)
             last_rows = out.rows
         record.ran_probe = True
-        eligible = eviction_candidates(state, sequence_end=base)
+        # the one candidate mask of the round: evictable tokens before the probe
+        eligible = state.evictable(sequence_end=base)[:, :, :base]
         scores = extract_token_scores(last_rows, trace, eligible, reason_end=base)
         seg = segment(trace, markers)
         step_scores = aggregate_step_scores(scores, seg, eligible)
-        record.scores = _round_scores(scores)
+        record.scores = RoundScores.from_tensor(scores)
         record.step_scores = _step_scores_to_lists(step_scores)
         if keep_dump:
             record.dump = _dense_dump(last_rows, base + len(probe_tokens) - 1)

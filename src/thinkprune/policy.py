@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BudgetExceedsStep
-from .scoring import LivePredicate, ScoreTensor, StepScores, ranked_step_order
+from .scoring import Candidates, ScoreTensor, StepScores, candidate_mask, ranked_step_order
 from .trace import Segmentation, Step
 
 # (eligible (layers, heads, n) mask, counts to evict (layers, heads)) ->
@@ -97,22 +97,21 @@ class EvictionPlan:
         return sum(len(v) for v in self.evicted.values())
 
 
-def _live_in_span(start: int, end: int, layer: int, head: int, live: LivePredicate) -> list[int]:
-    return [t for t in range(start, end) if live(layer, head, t)]
-
-
 def allocate(
     step_scores: StepScores,
     seg: Segmentation,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
 ) -> StepAllocation:
     """Greedy per-layer budget split over steps in ascending step-score order.
 
-    Each step takes min(its live size, remaining budget); ties on score go
-    to the smaller step id. When the budget exceeds the total live tokens
-    the allocation saturates (partial fulfillment, no error).
+    Each step takes min(its live size at head 0, remaining budget); ties on
+    score go to the smaller step id. When the budget exceeds the total live
+    tokens the allocation saturates (partial fulfillment, no error).
     """
+    layers = 1 + max(step_scores.by_layer, default=-1)
+    eligible = candidate_mask(live, (layers, 1, seg.trace_len))
+    sizes = seg.count_per_step(eligible[:, 0]).tolist()
     by_layer: dict[int, tuple[tuple[int, int], ...]] = {}
     for layer in step_scores.by_layer:
         remaining = budget.k
@@ -120,14 +119,27 @@ def allocate(
         for sid, _score in ranked_step_order(step_scores, layer):
             if remaining == 0:
                 break
-            step = seg.steps[sid]
-            size = len(_live_in_span(step.start, step.end, layer, 0, live))
-            take = min(size, remaining)
+            take = min(sizes[layer][sid], remaining)
             if take > 0:
                 allocs.append((sid, take))
                 remaining -= take
         by_layer[layer] = tuple(allocs)
     return StepAllocation(by_layer)
+
+
+def _lowest_in_step(eligible: np.ndarray, keys: np.ndarray, step: Step, count: int) -> np.ndarray:
+    """(rows, count) positions of the count lowest-keyed eligible tokens of
+    step in each row of (rows, n) eligible and keys, ties to the smaller
+    position. Every row must hold count eligible tokens in the step."""
+    span = np.s_[:, step.start:step.end]
+    order = np.argsort(np.where(eligible[span], keys[span], np.inf), axis=1, kind="stable")
+    return step.start + order[:, :count]
+
+
+def _short_step_error(count: int, available: int) -> BudgetExceedsStep:
+    return BudgetExceedsStep(
+        f"cannot evict {count} tokens from a step with {available} live tokens"
+    )
 
 
 def select_within_step(
@@ -136,43 +148,63 @@ def select_within_step(
     count: int,
     layer: int,
     head: int,
-    live: LivePredicate,
+    live: Candidates,
 ) -> frozenset[int]:
     """The `count` live tokens of the step with the lowest scores at (layer, head).
 
-    Ties are broken toward the smaller token index.
+    Ties are broken toward the smaller token index; unscored tokens score 0.
     """
-    candidates = _live_in_span(step.start, step.end, layer, head, live)
-    if count > len(candidates):
-        raise BudgetExceedsStep(
-            f"cannot evict {count} tokens from a step with {len(candidates)} live tokens"
-        )
-    head_scores = scores.head_scores(layer, head)
-    candidates.sort(key=lambda t: (head_scores.get(t, 0.0), t))
-    return frozenset(candidates[:count])
+    eligible = candidate_mask(live, (scores.num_layers, scores.num_heads, step.end))
+    available = int(np.count_nonzero(eligible[layer, head, step.start:]))
+    if count > available:
+        raise _short_step_error(count, available)
+    keys = scores.padded(step.end)[layer, head:head + 1]
+    return frozenset(_lowest_in_step(eligible[layer, head:head + 1], keys, step, count)[0].tolist())
+
+
+def _plan_of(picked: np.ndarray) -> EvictionPlan:
+    """The plan evicting a (layers, heads, n) mask of tokens."""
+    num_layers, num_heads = picked.shape[:2]
+    tokens = np.nonzero(picked)[2].tolist()
+    ends = np.cumsum(np.count_nonzero(picked, axis=2)).tolist()
+    return EvictionPlan(num_layers, num_heads, {
+        divmod(index, num_heads): frozenset(tokens[start:end])
+        for index, (start, end) in enumerate(zip([0] + ends, ends))
+    })
 
 
 def plan_from_allocation(
     scores: ScoreTensor,
     seg: Segmentation,
-    live: LivePredicate,
+    live: Candidates,
     allocation: StepAllocation,
 ) -> EvictionPlan:
-    evicted: dict[tuple[int, int], frozenset[int]] = {}
+    """Per layer, each allocated step evicts its allocated count of lowest-
+    scoring live tokens at every head. Raises BudgetExceedsStep for the
+    first (layer, head, allocated step) with fewer live tokens than that."""
+    shape = (scores.num_layers, scores.num_heads, seg.trace_len)
+    eligible = candidate_mask(live, shape)
+    keys = scores.padded(seg.trace_len)
+    sizes = seg.count_per_step(eligible).tolist()
+    picked = np.zeros(shape, dtype=bool)
+    heads = np.arange(scores.num_heads)[:, None]
     for layer in range(scores.num_layers):
+        order = allocation.layer_order(layer)
         for head in range(scores.num_heads):
-            chosen: set[int] = set()
-            for sid, count in allocation.layer_order(layer):
-                chosen |= select_within_step(scores, seg.steps[sid], count, layer, head, live)
-            evicted[(layer, head)] = frozenset(chosen)
-    return EvictionPlan(scores.num_layers, scores.num_heads, evicted)
+            for sid, count in order:
+                if count > sizes[layer][head][sid]:
+                    raise _short_step_error(count, sizes[layer][head][sid])
+        for sid, count in order:
+            chosen = _lowest_in_step(eligible[layer], keys[layer], seg.steps[sid], count)
+            picked[layer, heads, chosen] = True
+    return _plan_of(picked)
 
 
 def build_plan(
     scores: ScoreTensor,
     step_scores: StepScores,
     seg: Segmentation,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
 ) -> EvictionPlan:
     """Full hierarchical plan: allocate per layer, select per head."""
@@ -221,20 +253,9 @@ def random_victims(seed_prefix: Sequence[int]) -> Ranker:
     return rank
 
 
-def _score_array(head_scores: Mapping[tuple[int, int], Mapping[int, float]],
-                 shape: tuple[int, int, int], unscored: float) -> np.ndarray:
-    """The scores of the tokens below shape[2] as a (layers, heads, width) array."""
-    array = np.full(shape, unscored)
-    for (layer, head), score in head_scores.items():
-        for token, value in score.items():
-            if 0 <= token < shape[2]:
-                array[layer, head, token] = value
-    return array
-
-
-def lowest_scores(head_scores: Mapping[tuple[int, int], Mapping[int, float]]) -> Ranker:
+def lowest_scores(scores: ScoreTensor) -> Ranker:
     """Each slot keyed by its score; unscored slots score zero."""
-    return lambda eligible, counts: _score_array(head_scores, eligible.shape, 0.0)
+    return lambda eligible, counts: scores.padded(eligible.shape[2])
 
 
 def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScores) -> Ranker:
@@ -252,7 +273,7 @@ def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScore
     for layer, entries in step_scores.by_layer.items():
         for sid, value in entries:
             step_value[layer, seg.steps[sid].start:seg.steps[sid].end] = value
-    token_value = _score_array(scores.scores, shape, np.inf)
+    token_value = np.where(candidate_mask(scores.scored, shape), scores.padded(width), np.inf)
     positions = np.broadcast_to(np.arange(width, dtype=float), shape)
     order = np.lexsort((positions, token_value, np.broadcast_to(step_value[:, None], shape)))
     ranks = np.empty(shape)
@@ -286,28 +307,21 @@ def plan_by_selector(
     num_layers: int,
     num_heads: int,
     seq_len: int,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
     rank: Ranker,
 ) -> EvictionPlan:
-    """Evict the min(k, live) lowest-keyed live tokens per (layer, head)."""
-    eligible = np.array([[[live(layer, head, t) for t in range(seq_len)]
-                          for head in range(num_heads)]
-                         for layer in range(num_layers)], dtype=bool)
+    """Evict the min(k, live) lowest-keyed live tokens below seq_len per (layer, head)."""
+    eligible = candidate_mask(live, (num_layers, num_heads, seq_len))
     counts = np.minimum(budget.k, np.count_nonzero(eligible, axis=2))
-    picked = lowest_keyed(eligible, counts, rank(eligible, counts))
-    return EvictionPlan(num_layers, num_heads, {
-        (layer, head): frozenset(np.flatnonzero(picked[layer, head]).tolist())
-        for layer in range(num_layers)
-        for head in range(num_heads)
-    })
+    return _plan_of(lowest_keyed(eligible, counts, rank(eligible, counts)))
 
 
 def plan_random(
     num_layers: int,
     num_heads: int,
     seq_len: int,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
     seed: int | Sequence[int],
 ) -> EvictionPlan:
@@ -375,37 +389,34 @@ def h2o_scores(
     history: Mapping[tuple[int, int], Mapping[int, float]],
     num_layers: int,
     num_heads: int,
-    live: LivePredicate,
+    live: Candidates,
 ) -> ScoreTensor:
     """Accumulated attention as a ScoreTensor, filtered to live candidates."""
-    scores: dict[tuple[int, int], dict[int, float]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            acc = history.get((layer, head), {})
-            scores[(layer, head)] = {
-                token: float(value)
-                for token, value in acc.items()
-                if live(layer, head, token)
-            }
-    return ScoreTensor(num_layers, num_heads, scores)
+    fed = ScoreTensor(num_layers, num_heads, {
+        (layer, head): history.get((layer, head), {})
+        for layer in range(num_layers)
+        for head in range(num_heads)
+    })
+    return ScoreTensor.from_arrays(
+        fed.values, fed.scored & candidate_mask(live, fed.scored.shape))
 
 
 def plan_h2o(
     scores: ScoreTensor,
     seq_len: int,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
 ) -> EvictionPlan:
     """Evict the k lowest accumulated-attention tokens per head, no step structure."""
     return plan_by_selector(scores.num_layers, scores.num_heads, seq_len, live, budget,
-                            policy_ranker(PolicyKind.H2O, ranking=lowest_scores(scores.scores)))
+                            policy_ranker(PolicyKind.H2O, ranking=lowest_scores(scores)))
 
 
 def plan_streaming(
     num_layers: int,
     num_heads: int,
     seq_len: int,
-    live: LivePredicate,
+    live: Candidates,
     keep_first: int,
     keep_recent: int,
 ) -> EvictionPlan:
@@ -413,11 +424,9 @@ def plan_streaming(
     oldest first over [keep_first, seq_len - keep_recent)."""
     if keep_first < 0 or keep_recent < 0:
         raise ValueError("keep_first and keep_recent must be >= 0")
-
-    def past_first(layer: int, head: int, token: int) -> bool:
-        return token >= keep_first and live(layer, head, token)
-
-    return plan_by_selector(num_layers, num_heads, seq_len - keep_recent, past_first,
+    eligible = candidate_mask(live, (num_layers, num_heads, seq_len - keep_recent))
+    eligible[:, :, :keep_first] = False
+    return plan_by_selector(num_layers, num_heads, seq_len - keep_recent, eligible,
                             EvictionBudget(max(0, seq_len)), oldest_first)
 
 
@@ -425,7 +434,7 @@ def plan_oldest(
     num_layers: int,
     num_heads: int,
     seq_len: int,
-    live: LivePredicate,
+    live: Candidates,
     budget: EvictionBudget,
 ) -> EvictionPlan:
     """Evict the k oldest live candidates per (layer, head): the per-round

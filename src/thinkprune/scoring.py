@@ -12,6 +12,7 @@ import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +39,32 @@ ROW_SUM_TOLERANCE = 1e-5
 
 # (layer, head, token) -> is this token a live scoring/eviction candidate?
 LivePredicate = Callable[[int, int, int], bool]
+# Candidate slots: a (layers, heads, positions) bool mask, or a predicate.
+Candidates = np.ndarray | LivePredicate
 
 
-def live_everywhere(layer: int, head: int, token: int) -> bool:
-    """Predicate admitting every token; handy for dump-driven scoring."""
-    return True
+def _fit(array: np.ndarray, width: int) -> np.ndarray:
+    """A fresh copy of array cut or zero-padded to width along its last axis."""
+    out = np.zeros(array.shape[:-1] + (max(width, 0),), dtype=array.dtype)
+    kept = max(min(width, array.shape[-1]), 0)
+    out[..., :kept] = array[..., :kept]
+    return out
+
+
+def candidate_mask(live: Candidates, shape: tuple[int, int, int]) -> np.ndarray:
+    """live as a fresh bool mask of the shape (layers, heads, width).
+
+    A mask keeps its own layers and heads and is cut or padded with False
+    to the width; a predicate is asked once per slot. Every function that
+    takes candidates converts them here.
+    """
+    if callable(live):
+        num_layers, num_heads, width = shape
+        return np.array([[[live(layer, head, token) for token in range(width)]
+                          for head in range(num_heads)]
+                         for layer in range(num_layers)], dtype=bool).reshape(
+                             num_layers, num_heads, max(width, 0))
+    return _fit(np.asarray(live, dtype=bool), shape[2])
 
 
 @dataclass(frozen=True)
@@ -70,23 +92,64 @@ def default_probe(
     return ProbeConfig(SUMMARIZATION_PROBE_TEXT, think_end_token_id, interval_p)
 
 
-@dataclass(frozen=True)
 class ScoreTensor:
-    """Per-(layer, head) importance score of every live reasoning token."""
+    """Per-(layer, head) importance score of every scored reasoning token.
 
-    num_layers: int
-    num_heads: int
-    scores: Mapping[tuple[int, int], Mapping[int, float]]
+    Held as two (layers, heads, width) arrays: scored marks the scored
+    slots and values holds their scores, 0.0 elsewhere. Build one from a
+    {(layer, head): {token: score}} mapping, or with from_arrays.
+    """
 
-    def __post_init__(self) -> None:
-        for (layer, head), head_scores in self.scores.items():
-            if not (0 <= layer < self.num_layers and 0 <= head < self.num_heads):
+    def __init__(self, num_layers: int, num_heads: int,
+                 scores: Mapping[tuple[int, int], Mapping[int, float]]):
+        for layer, head in scores:
+            if not (0 <= layer < num_layers and 0 <= head < num_heads):
                 raise ValueError(f"score entry for ({layer}, {head}) outside dimensions")
-            for token, value in head_scores.items():
-                if not math.isfinite(value) or value < 0.0:
-                    raise ValueError(
-                        f"score for token {token} at ({layer}, {head}) must be finite and >= 0"
-                    )
+        width = 1 + max((max(head_scores, default=-1) for head_scores in scores.values()),
+                        default=-1)
+        values = np.zeros((num_layers, num_heads, width))
+        scored = np.zeros(values.shape, dtype=bool)
+        for (layer, head), head_scores in scores.items():
+            tokens = list(head_scores)
+            if tokens and min(tokens) < 0:
+                raise ValueError(f"score entry for token {min(tokens)} at ({layer}, {head}) "
+                                 "is negative")
+            values[layer, head, tokens] = list(head_scores.values())
+            scored[layer, head, tokens] = True
+        self._set(values, scored)
+
+    @classmethod
+    def from_arrays(cls, values: np.ndarray, scored: np.ndarray) -> "ScoreTensor":
+        """Scores of the slots scored marks, read from values of the same shape."""
+        tensor = cls.__new__(cls)
+        tensor._set(np.asarray(values, dtype=float), np.asarray(scored, dtype=bool))
+        return tensor
+
+    def _set(self, values: np.ndarray, scored: np.ndarray) -> None:
+        values = np.where(scored, values, 0.0)
+        valid = (values >= 0.0) & (values < np.inf)  # False for NaN, inf and negatives
+        if not valid.all():
+            layer, head, token = np.argwhere(~valid)[0].tolist()
+            raise ValueError(
+                f"score for token {token} at ({layer}, {head}) must be finite and >= 0"
+            )
+        self.num_layers, self.num_heads = scored.shape[:2]
+        self.scored = scored
+        self.values = values
+
+    def padded(self, width: int) -> np.ndarray:
+        """values cut or padded with 0.0 to width."""
+        return _fit(self.values, width)
+
+    @cached_property
+    def scores(self) -> dict[tuple[int, int], dict[int, float]]:
+        """{(layer, head): {scored token: score}} for every (layer, head)."""
+        return {
+            (layer, head): dict(zip(np.flatnonzero(self.scored[layer, head]).tolist(),
+                                    self.values[layer, head, self.scored[layer, head]].tolist()))
+            for layer in range(self.num_layers)
+            for head in range(self.num_heads)
+        }
 
     def head_scores(self, layer: int, head: int) -> Mapping[int, float]:
         return self.scores.get((layer, head), {})
@@ -105,7 +168,7 @@ class StepScores:
 def extract_token_scores(
     rows: np.ndarray,
     trace: ReasoningTrace,
-    live: LivePredicate,
+    live: Candidates,
     *,
     reason_end: int | None = None,
 ) -> ScoreTensor:
@@ -114,34 +177,36 @@ def extract_token_scores(
     rows has shape (layers, heads, keys): column t is the weight on key
     token t, taken at the probe's end-of-thinking position, and each row
     sums to one. Only live reasoning tokens in [reason_start, reason_end)
-    receive entries; mass on prompt, probe, and post-reasoning keys is read
+    are scored; mass on prompt, probe, and post-reasoning keys is read
     (it participates in the row-sum check) but never scored.
     """
+    rows = np.asarray(rows, dtype=float)
     num_layers, num_heads, width = rows.shape
     end = len(trace.tokens) if reason_end is None else reason_end
     if end > width:
         raise ValueError(f"attention rows cover {width} keys, the reasoning region ends at {end}")
-    scores: dict[tuple[int, int], dict[int, float]] = {}
-    for layer in range(num_layers):
-        for head in range(num_heads):
-            row = rows[layer, head].tolist()
-            total = math.fsum(row)
-            if abs(total - 1.0) > ROW_SUM_TOLERANCE:
-                raise NonNormalizedRow(
-                    f"attention row at layer {layer}, head {head} sums to {total!r}"
-                )
-            scores[(layer, head)] = {
-                token: row[token]
-                for token in range(trace.reason_start, end)
-                if live(layer, head, token)
-            }
-    return ScoreTensor(num_layers, num_heads, scores)
+    # Summing a row in any order errs from its exact sum by less than
+    # width * eps * sum(|row|), and fsum by half an ulp, so a row whose
+    # NumPy sum is that far inside half the tolerance passes the fsum check
+    # for sure. Every other row, non-finite ones included, is checked with
+    # fsum in (layer, head) order, so the same row raises as with fsum alone.
+    margin = width * np.finfo(float).eps * np.abs(rows).sum(axis=2)
+    sure = np.abs(rows.sum(axis=2) - 1.0) + margin < ROW_SUM_TOLERANCE / 2
+    for layer, head in np.argwhere(~sure).tolist():
+        total = math.fsum(rows[layer, head].tolist())
+        if abs(total - 1.0) > ROW_SUM_TOLERANCE:
+            raise NonNormalizedRow(
+                f"attention row at layer {layer}, head {head} sums to {total!r}"
+            )
+    scored = candidate_mask(live, (num_layers, num_heads, end))
+    scored[:, :, :trace.reason_start] = False
+    return ScoreTensor.from_arrays(rows[:, :, :max(end, 0)], scored)
 
 
 def aggregate_step_scores(
     scores: ScoreTensor,
     seg: Segmentation,
-    live: LivePredicate,
+    live: Candidates,
 ) -> StepScores:
     """Mean token score per step over its live tokens and all heads of a layer.
 
@@ -150,28 +215,41 @@ def aggregate_step_scores(
     are head-uniform (always true under hierarchical eviction, whose
     per-step counts come from the layer-level allocation). Previously
     evicted tokens contribute nothing to either side, so they never deflate
-    a step's score. Steps with no live tokens are omitted. Summation order
-    is fixed (heads outer, tokens inner, ascending) so results are bitwise
-    reproducible.
+    a step's score; a live token without a score counts as 0.0. Steps with
+    no live tokens are omitted.
+
+    Each step sums sequentially from 0.0, heads outer and tokens inner in
+    ascending order, so results are bitwise reproducible. np.add.accumulate
+    runs along one chain per step, the step's tokens of every head in turn,
+    each head padded with 0.0 to a common length; adding 0.0 for a dead or
+    padding slot changes no sum. Steps are chained in groups whose lengths
+    are within a factor of two, so padding at most doubles the work.
     """
-    num_heads = scores.num_heads
-    by_layer: dict[int, tuple[tuple[int, float], ...]] = {}
-    for layer in range(scores.num_layers):
-        entries: list[tuple[int, float]] = []
-        for sid, step in enumerate(seg.steps):
-            slots = 0
-            total = 0.0
-            for head in range(num_heads):
-                head_scores = scores.head_scores(layer, head)
-                for token in range(step.start, step.end):
-                    if live(layer, head, token):
-                        slots += 1
-                        total += head_scores.get(token, 0.0)
-            if slots == 0:
-                continue
-            entries.append((sid, total / slots))
-        by_layer[layer] = tuple(entries)
-    return StepScores(by_layer)
+    num_layers, num_heads = scores.num_layers, scores.num_heads
+    width = seg.trace_len
+    live_mask = candidate_mask(live, (num_layers, num_heads, width + 1))
+    live_mask[:, :, width] = False  # each head's column width is its padding slot
+    flat = np.where(live_mask, scores.padded(width + 1), 0.0).reshape(num_layers, -1)
+    heads = np.arange(num_heads)[:, None] * (width + 1)
+    starts, lengths = seg.bounds[:-1], np.diff(seg.bounds)
+    totals = np.zeros((num_layers, len(lengths)))
+    group_of = np.frexp(lengths)[1]
+    for group in sorted(set(group_of.tolist())):
+        sids = np.flatnonzero(group_of == group)
+        offsets = np.arange(lengths[sids].max())
+        tokens = np.where(offsets < lengths[sids, None], starts[sids, None] + offsets, width)
+        chains = np.take(flat, heads + tokens[:, None], axis=1).reshape(num_layers, len(sids), -1)
+        totals[:, sids] = np.add.accumulate(chains, axis=2)[:, :, -1]
+    # a chain starts from its first term rather than from 0.0; adding 0.0
+    # turns the only possible difference, a -0.0 total, into 0.0
+    totals += 0.0
+    slots = seg.count_per_step(live_mask).sum(axis=1)
+    layers, sids = np.nonzero(slots)
+    means = (totals[layers, sids] / slots[layers, sids]).tolist()
+    by_layer: dict[int, list[tuple[int, float]]] = {layer: [] for layer in range(num_layers)}
+    for layer, sid, mean in zip(layers.tolist(), sids.tolist(), means):
+        by_layer[layer].append((sid, mean))
+    return StepScores({layer: tuple(entries) for layer, entries in by_layer.items()})
 
 
 def ranked_step_order(step_scores: StepScores, layer: int) -> list[tuple[int, float]]:

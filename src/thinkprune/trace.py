@@ -10,10 +10,14 @@ word boundary.
 from __future__ import annotations
 
 import json
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptyReasoningRegion, InputFormatError, OffsetOutOfRange
 
@@ -112,12 +116,7 @@ class ReasoningTrace:
 
     @cached_property
     def _char_ends(self) -> tuple[int, ...]:
-        ends: list[int] = []
-        total = 0
-        for tok in self.tokens:
-            total += len(tok.text)
-            ends.append(total)
-        return tuple(ends)
+        return tuple(accumulate(len(tok.text) for tok in self.tokens))
 
     @property
     def text_len(self) -> int:
@@ -214,12 +213,30 @@ class Segmentation:
                 f"last step ends at {self.steps[-1].end}, trace has {self.trace_len} tokens"
             )
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Every step's start, then the last step's end: step sid is
+        [bounds[sid], bounds[sid + 1])."""
+        return np.array([step.start for step in self.steps] + [self.trace_len])
 
-def _starts_word(text: str, pos: int) -> bool:
-    if pos == 0:
-        return True
-    prev = text[pos - 1]
-    return prev.isspace() or prev in _BOUNDARY_PUNCT
+    def count_per_step(self, mask: np.ndarray) -> np.ndarray:
+        """(..., steps) number of True entries of a (..., n) bool mask inside
+        each step, for n >= trace_len. Integer sums: their order is exact."""
+        return np.add.reduceat(mask[..., :self.trace_len], self.bounds[:-1], axis=-1,
+                               dtype=np.int64)
+
+
+@lru_cache(maxsize=16)
+def _marker_scanner(phrases: tuple[str, ...]) -> tuple[re.Pattern, dict[str, tuple[str, ...]]]:
+    """A pattern matching each whitespace or sentence punctuation character
+    that a character beginning some phrase follows, and the phrases by
+    first character, longest first (ties keep set order)."""
+    by_first: dict[str, list[str]] = {}
+    for phrase in sorted(phrases, key=len, reverse=True):
+        by_first.setdefault(phrase[0], []).append(phrase)
+    firsts = "".join(re.escape(char) for char in by_first)
+    boundary = re.compile(rf"[\s{re.escape(_BOUNDARY_PUNCT)}](?=[{firsts}])")
+    return boundary, {char: tuple(group) for char, group in by_first.items()}
 
 
 def _scan_marker_occurrences(text: str, phrases: tuple[str, ...]) -> list[tuple[int, str]]:
@@ -228,25 +245,26 @@ def _scan_marker_occurrences(text: str, phrases: tuple[str, ...]) -> list[tuple[
     A match must start at a word boundary (start of text, after whitespace,
     or after sentence punctuation) and must not be followed by a letter.
     The longest phrase wins at a position, and no match may begin inside a
-    match that was already consumed.
+    match that was already consumed. Only word starts whose character
+    begins a phrase are tried, and only with the phrases it begins.
     """
-    by_length = sorted(phrases, key=len, reverse=True)
+    boundary, by_first = _marker_scanner(phrases)
+    # word starts whose character begins a phrase: the start of the text,
+    # and the character after each boundary match (which never consumes it)
+    starts = [0] if text[:1] in by_first else []
+    starts += [match.end() for match in boundary.finditer(text)]
     found: list[tuple[int, str]] = []
-    pos = 0
+    consumed = 0
     n = len(text)
-    while pos < n:
-        if _starts_word(text, pos):
-            hit: str | None = None
-            for phrase in by_length:
-                end = pos + len(phrase)
-                if text.startswith(phrase, pos) and (end >= n or not text[end].isalpha()):
-                    hit = phrase
-                    break
-            if hit is not None:
-                found.append((pos, hit))
-                pos += len(hit)
-                continue
-        pos += 1
+    for pos in starts:
+        if pos < consumed:
+            continue
+        for phrase in by_first[text[pos]]:
+            end = pos + len(phrase)
+            if text.startswith(phrase, pos) and (end >= n or not text[end].isalpha()):
+                found.append((pos, phrase))
+                consumed = end
+                break
     return found
 
 

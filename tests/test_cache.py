@@ -140,6 +140,14 @@ class TestConservation:
         state.append(5, np.ones((1, 1, 4)), np.ones((1, 1, 4)))
         assert state.live_indices(0, 0) == (0, 1, 2, 3, 4, 5)
 
+    def test_remove_suffix_rejects_negative_start(self):
+        state = fill_cache(2, 2, 4, prompt_len=1, total=3)
+        live = state.live.copy()
+        with pytest.raises(ValueError, match="-2"):
+            state.remove_suffix(-2)
+        assert state.next_index == 3
+        assert (state.live == live).all()
+
 
 class TestEnforceBudget:
     def test_overflow_evicts_from_oldest_non_recent(self):

@@ -446,7 +446,7 @@ def every_ranker():
     rankers = {
         "oldest_first": oldest_first,
         "random": random_victims((4, 9)),
-        "lowest_scores": lowest_scores(scores.scores),
+        "lowest_scores": lowest_scores(scores),
         "round_ranking": round_ranking(scores, seg, step_scores),
         "h2o": h2o.rank,
     }

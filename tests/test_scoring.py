@@ -118,6 +118,24 @@ class TestExtractTokenScores:
         rows = _rows_from_arrays({(0, 0): [0.5, 0.5 + 1e-6]})
         extract_token_scores(rows, trace, all_live)
 
+    @pytest.mark.parametrize("excess", [0.99e-5, 1.01e-5, -1.01e-5, float("inf"), float("nan")])
+    def test_row_check_matches_fsum_in_row_order(self, excess):
+        # a row sums to 1 + excess; what fsum says decides, the first bad row raises
+        trace = make_trace(["p", " a", " b"], 1)
+        rows = np.full((2, 2, 4), 0.25)
+        rows[0, 1, 1:3] = [0.25 + excess / 2, 0.25 + excess / 2]
+        rows[1, 0, 0] = 0.5
+        total = math.fsum(rows[0, 1].tolist())
+        if abs(total - 1.0) > 1e-5:
+            with pytest.raises(NonNormalizedRow, match=rf"layer 0, head 1 sums to {total!r}"):
+                extract_token_scores(rows, trace, all_live)
+        else:
+            with pytest.raises(NonNormalizedRow, match="layer 1, head 0"):
+                extract_token_scores(rows, trace, all_live)
+        rows[1, 0, 0] = 0.25
+        if excess == 0.99e-5:
+            extract_token_scores(rows, trace, all_live)
+
     def test_prompt_probe_and_answer_mass_not_scored(self):
         # Trace: 1 prompt + 2 reasoning + 1 answer token; row also covers a
         # probe key at position 4. Only reasoning positions 1..2 get entries.

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import segment_oracle
+from reference import bruteforce_marker_matches, segment_oracle
 from conftest import FILLER_WORDS, MARKER_SAMPLE, chunk_randomly, make_trace
 
 from thinkprune.errors import EmptyReasoningRegion, InputFormatError, OffsetOutOfRange
@@ -16,6 +20,7 @@ from thinkprune.trace import (
     MarkerSet,
     ReasoningTrace,
     Token,
+    _scan_marker_occurrences,
     default_marker_set,
     load_trace,
     markers_from_dict,
@@ -232,6 +237,64 @@ class TestSegmentationProperties:
             old_bounds = [(s.start, s.marker) for s in before.steps]
             new_bounds = [(s.start, s.marker) for s in after.steps if s.start < old_end]
             assert new_bounds == old_bounds
+
+
+# Marker sets: the default one, and one whose phrases also start inside
+# other phrases, so a match may not begin inside a consumed one.
+_MARKER_SETS = (DEFAULT_MARKER_PHRASES,
+                ("But wait", "wait", "Let me", "me", "I think", "think", "So", "So so", "m"))
+# Pieces of marker-heavy text besides phrases and their prefixes: boundary
+# punctuation, ASCII and non-ASCII whitespace, the right single quote,
+# letters, and characters that str.isalpha() and re's \w disagree on
+# (superscript two, a Roman numeral, underscore, digits).
+_OTHER_PIECES = tuple(".,;:!?") + (" ", "  ", "\n", "\u00a0", "\u2003", "’", "é", "x",
+                                   "So", "²", "Ⅻ", "_", "7", "-", "(")
+_NOT_WORD_END = ("²", "Ⅻ", "_", "7", "é", "’", "s")
+
+
+@st.composite
+def marker_texts(draw):
+    """(phrases, text): a marker set and text built from its phrases, their
+    prefixes and separators, with characters that may or may not end a word
+    placed right after some phrases."""
+    phrases = draw(st.sampled_from(_MARKER_SETS))
+    prefixes = tuple(phrase[:cut] for phrase in phrases for cut in range(1, len(phrase)))
+    pieces = draw(st.lists(
+        st.one_of(st.sampled_from(phrases + prefixes), st.sampled_from(_OTHER_PIECES),
+                  st.tuples(st.sampled_from(phrases),
+                            st.sampled_from(_NOT_WORD_END)).map("".join)),
+        max_size=24))
+    return phrases, "".join(pieces)
+
+
+class TestMarkerScanProperties:
+    def test_regex_whitespace_is_str_isspace(self):
+        # the scan finds word starts with re's \s; the rules use str.isspace()
+        assert all((re.match(r"\s", char) is not None) == char.isspace()
+                   for char in map(chr, range(sys.maxunicode + 1)))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(marker_texts())
+    def test_scan_matches_bruteforce(self, phrases_and_text):
+        phrases, text = phrases_and_text
+        assert _scan_marker_occurrences(text, phrases) == bruteforce_marker_matches(text, phrases)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(marker_texts(), st.lists(st.integers(1, 5), min_size=1, max_size=60),
+           st.integers(0, 3))
+    def test_segment_matches_oracle(self, phrases_and_text, widths, prompt_tokens):
+        phrases, text = phrases_and_text
+        chunks, pos = [], 0
+        for width in widths:
+            if pos >= len(text):
+                break
+            chunks.append(text[pos:pos + width])
+            pos += width
+        chunks.append(text[pos:] or "x")
+        texts = ["Problem: "] * prompt_tokens + chunks
+        got = [(step.start, step.marker)
+               for step in segment(make_trace(texts, prompt_tokens), MarkerSet(phrases)).steps]
+        assert got == segment_oracle(texts, prompt_tokens, phrases)
 
 
 class TestTraceFiles:

@@ -13,6 +13,13 @@ prompts; 80 new tokens; 2 layers x 3 heads. That is 232 run cells. The
 tight 0.15 cap makes the hierarchical policy evict tokens generated after
 its latest probe round.
 
+Long cells give probe rounds traces with dozens of steps: the benchmark's
+model shape (4 layers x 4 heads, model dim 64, model seed 0), two
+benchmark-style prompts on which this model writes 13 to 144 steps per
+round, greedy decoding of 300 new tokens with a probe round every 100,
+and each of the four policies at periodic k=8 with recent windows 0 and
+4. That is 16 more run cells.
+
 It also records `thinkprune plan` for 320 plan cells, {"exit_code",
 "stdout", "stderr"} each, so a changed error message shows in `compare`.
 Their inputs come from the last dumped probe round of every (3, 8, 0)
@@ -58,6 +65,13 @@ MAX_NEW = 80
 DUMPED = "k3-i8-r0"
 PLAN_BUDGET = 4
 PLAN_SEED = 7
+LONG_PROMPTS = (
+    "Problem: Compute the sum of 12 and 7 then multiply by three. What is the value? Answer:",
+    "Problem: Let y equal half the product of 8 and 9, minus seven. Solve for y. Answer:",
+)
+LONG_MODEL = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16,
+                  rng_seed=0)
+LONG_NEW, LONG_INTERVAL, LONG_K, LONG_RECENT = 300, 100, 8, (0, 4)
 FLOAT_FIELDS = ("scores", "step_scores", "dump")
 FLOAT_TOLERANCE = 1e-12
 
@@ -89,6 +103,24 @@ def record_matrix() -> dict[str, dict]:
                         cells[f"{prefix}/{policy.value}/ratio{ratio}"] = record.to_dict()
                     source = f"{prefix}/{policy.value}/{DUMPED}"
                     cells.update(record_plans(source, prompt, cells[source]))
+    cells.update(record_long())
+    return cells
+
+
+def record_long() -> dict[str, dict]:
+    """The long cells: the benchmark's model shape, 300 tokens, a round every 100."""
+    model = TinyModelConfig(**LONG_MODEL)
+    cells = {}
+    for prompt_index, prompt in enumerate(LONG_PROMPTS):
+        for policy in PolicyKind:
+            for recent in LONG_RECENT:
+                config = DecodeConfig(
+                    max_new_tokens=LONG_NEW, probe=default_probe(interval_p=LONG_INTERVAL),
+                    policy=policy, budget=EvictionBudget(LONG_K), recent_window=recent,
+                    eviction_seed=3)
+                record = run(model, prompt, config)
+                cells[f"long/p{prompt_index}/{policy.value}/k{LONG_K}-i{LONG_INTERVAL}-r{recent}"] = (
+                    record.to_dict())
     return cells
 
 
