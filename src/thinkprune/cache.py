@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain, product
 
 import numpy as np
 
@@ -192,16 +193,26 @@ class KvCacheState:
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
         evictable = self.evictable(sequence_end=sequence_end)
+        # one entry per planned token, in the order the checks run: heads in
+        # (layer, head) order, which plans keep, and each head's tokens ascending
+        groups = [sorted(tokens) for tokens in plan.evicted.values()]
+        tokens = np.fromiter(chain.from_iterable(groups), dtype=np.intp)
+        layers, heads = np.divmod(
+            np.repeat(np.arange(len(groups)), [len(group) for group in groups]), self.num_heads)
+        known = (tokens >= 0) & (tokens < self.next_index)
+        live = known & self.live[layers, heads, np.where(known, tokens, 0)]
+        allowed = np.zeros_like(live)
+        allowed[live] = evictable[layers[live], heads[live], tokens[live]]
+        if not allowed.all():
+            first = int(np.argmin(allowed))
+            layer, head, token = int(layers[first]), int(heads[first]), int(tokens[first])
+            if not live[first]:
+                raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
+            raise ProtectedTokenEviction(
+                f"token {token} at ({layer}, {head}) is prompt or recent-window protected"
+            )
         victims = np.zeros_like(evictable)
-        for (layer, head), tokens in plan.evicted.items():
-            for token in sorted(tokens):
-                if not self.is_live(layer, head, token):
-                    raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
-                if not evictable[layer, head, token]:
-                    raise ProtectedTokenEviction(
-                        f"token {token} at ({layer}, {head}) is prompt or recent-window protected"
-                    )
-                victims[layer, head, token] = True
+        victims[layers, heads, tokens] = True
         return self._evict(victims)
 
     def _evict(self, victims: np.ndarray) -> int:
@@ -227,13 +238,8 @@ class KvCacheState:
         return removed
 
     def stats(self) -> CacheStats:
-        counts = np.count_nonzero(self.live, axis=2).tolist()
-        live_counts = {
-            (layer, head): count
-            for layer, row in enumerate(counts)
-            for head, count in enumerate(row)
-        }
-        values = list(live_counts.values())
+        values = np.add.reduce(self.live, axis=2, dtype=np.intp).ravel().tolist()
+        live_counts = dict(zip(product(range(self.num_layers), range(self.num_heads)), values))
         return CacheStats(
             live_counts=live_counts,
             average_live=sum(values) / len(values),
@@ -256,12 +262,12 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> in
         raise BudgetInfeasible(
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
         )
-    overflow = np.maximum(
-        np.count_nonzero(state.live[:, :, state.prompt_len:], axis=2) + 1 - budget.max_slots, 0)
+    overflow = np.maximum(np.add.reduce(state.live[:, :, state.prompt_len:], axis=2,
+                                        dtype=np.intp) + 1 - budget.max_slots, 0)
     if not overflow.any():
         return 0
     eligible = state.evictable()
-    available = np.count_nonzero(eligible, axis=2)
+    available = np.add.reduce(eligible, axis=2, dtype=np.intp)
     short = np.argwhere(overflow > available).tolist()
     if short:
         layer, head = short[0]

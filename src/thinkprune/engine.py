@@ -354,11 +354,15 @@ def probe_cycle(
         record.skip_reason = "no-room"
         return record, None
     pre_live = state.live[:, :, :base].copy()
-    last_rows: np.ndarray | None = None
+    last = len(probe_tokens) - 1
     try:
+        # the round reads the probe tokens' K/V and the last token's rows,
+        # never a probe token's logits
         for offset, (pid, _text) in enumerate(probe_tokens):
-            out = decode_step(state, model, pid, base + offset)
-            last_rows = out.rows
+            out = model.forward_step(state, pid, base + offset,
+                                     outputs="rows" if offset == last else "kv")
+            state.append(base + offset, out.keys, out.values)
+        last_rows = out.rows
         record.ran_probe = True
         # the one candidate mask of the round: evictable tokens before the probe
         eligible = state.evictable(sequence_end=base)[:, :, :base]

@@ -114,13 +114,18 @@ class TinyModelConfig:
 
 @dataclass
 class StepOutput:
-    """Result of running one token through the decoder."""
+    """Result of running one token through the decoder.
 
-    logits: np.ndarray
+    A field the forward did not compute is None: logits unless outputs is
+    "logits", rows when outputs is "kv", keys and values without
+    include_new_kv.
+    """
+
+    logits: np.ndarray | None
     # (layers, heads, width) attention weights; column t is key token t and
     # is exactly 0.0 where token t is not live. width is next_index, plus
     # one for the token's own key when it joins.
-    rows: np.ndarray
+    rows: np.ndarray | None
     # the token's own (layers, heads, head_dim) key and value: views of the
     # cache slot forward_step wrote them to, for append to commit
     keys: np.ndarray | None
@@ -166,7 +171,7 @@ class TinyDecoder:
         self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
         # forward_step's working set: one tuple per layer with wq|wk|wv fused
         # into one (d, 3d) matrix, and rotary tables for every position, laid
-        # out so that rotating is x * cos + x[swap] * sin over whole vectors
+        # out so that rotating is x * cos + (x with its halves swapped) * sin
         w = self._w
         self._layers = tuple(
             (
@@ -182,8 +187,9 @@ class TinyDecoder:
         angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
         cos, sin = np.cos(angles), np.sin(angles)
         self._rope_cos = np.concatenate([cos, cos], axis=1)
-        self._rope_sin = np.concatenate([-sin, sin], axis=1)
-        self._rope_swap = np.r_[half:cfg.head_dim, 0:half]
+        # (position, 2, head_dim / 2): -sin scales the second half moved to
+        # the front, sin the first half moved to the back
+        self._rope_sin = np.stack([-sin, sin], axis=1)
 
     def weight_names(self) -> list[str]:
         return list(self._weights32)
@@ -191,7 +197,11 @@ class TinyDecoder:
     # --- numerics ---------------------------------------------------------
 
     def _rms(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        # np.add.reduce / d is exactly what np.mean computes, without its overhead
+        # np.add.reduce / d is exactly what np.mean computes, without its overhead;
+        # for one vector the division, epsilon and square root are the same IEEE
+        # operations on a Python float
+        if x.ndim == 1:
+            return x / math.sqrt(float(np.add.reduce(np.square(x))) / x.shape[0] + _RMS_EPS) * gain
         mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
         scale = np.sqrt(mean_sq + _RMS_EPS)
         return x / scale * gain
@@ -211,8 +221,13 @@ class TinyDecoder:
         return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
     def _rope_at(self, heads: np.ndarray, position: int) -> np.ndarray:
-        """_rope for one position, from the tables: x1 cos - x2 sin, x2 cos + x1 sin."""
-        return heads * self._rope_cos[position] + heads[:, self._rope_swap] * self._rope_sin[position]
+        """_rope for one position, from the tables: x1 cos - x2 sin, x2 cos + x1 sin.
+
+        The halves swap through a reversed (2, head_dim / 2) view of each
+        vector, so no index array is gathered."""
+        count = heads.shape[0]
+        swapped = heads.reshape(count, 2, -1)[:, ::-1] * self._rope_sin[position]
+        return heads * self._rope_cos[position] + swapped.reshape(heads.shape)
 
     # --- incremental path ---------------------------------------------------
 
@@ -223,6 +238,7 @@ class TinyDecoder:
         position: int,
         *,
         include_new_kv: bool = True,
+        outputs: str = "logits",
     ) -> StepOutput:
         """One token forward over the live cache entries.
 
@@ -235,7 +251,18 @@ class TinyDecoder:
         commits them with append. Without include_new_kv the token is
         assumed to be (possibly partially) represented in the cache
         already, and attention runs over the live entries alone.
+
+        outputs names what the caller reads, and the forward stops once it
+        has it: "logits" runs every layer through to the logits; "rows"
+        stops after the last layer's softmax; "kv" stops after writing the
+        last layer's key/value and skips that layer's attention. Fields not
+        computed are None (see StepOutput). "rows" and "kv" serve tokens
+        that join the cache, so they require include_new_kv.
         """
+        if outputs not in ("logits", "rows", "kv"):
+            raise ValueError(f'outputs must be "logits", "rows" or "kv", got {outputs!r}')
+        if outputs != "logits" and not include_new_kv:
+            raise ValueError(f'outputs={outputs!r} requires include_new_kv')
         cfg = self.config
         if position >= cfg.max_seq_len:
             raise SequenceTooLong(
@@ -255,6 +282,10 @@ class TinyDecoder:
         dead = ~cache.live[:, :, :n]
         rows = np.empty((cfg.num_layers, num_heads, width))
         inv_scale = 1.0 / math.sqrt(head_dim)
+        # the layer after whose K/V write ("kv") or softmax ("rows") the forward stops
+        last = cfg.num_layers - 1
+        stop_at_kv = last if outputs == "kv" else -1
+        stop_at_rows = last if outputs == "rows" else -1
         x = self._w["embed"][token_id]
         for layer, (attn_norm, wqkv, wo, mlp_norm, mlp_in, mlp_out) in enumerate(self._layers):
             qkv = (self._rms(x, attn_norm) @ wqkv).reshape(3 * num_heads, head_dim)
@@ -266,19 +297,26 @@ class TinyDecoder:
                 # cached ones, so a later requery of this token is bitwise equal
                 keys[:, n] = qk[num_heads:]
                 values[:, n] = qkv[2 * num_heads:]
+            if layer == stop_at_kv:
+                break
             weights = rows[layer]
             np.multiply((keys @ qk[:num_heads, :, None])[:, :, 0], inv_scale, out=weights)
             np.copyto(weights[:, :n], -np.inf, where=dead[layer])
             weights -= weights.max(axis=1, keepdims=True)
             np.exp(weights, out=weights)
             weights /= weights.sum(axis=1, keepdims=True)
+            if layer == stop_at_rows:
+                break
             attn_out = (weights[:, None, :] @ values)[:, 0, :]
             x = x + attn_out.reshape(cfg.model_dim) @ wo
             x = x + _silu(self._rms(x, mlp_norm) @ mlp_in) @ mlp_out
-        logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
+        logits = None
+        if outputs == "logits":
+            logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
         if not include_new_kv:
             return StepOutput(logits, rows, None, None)
-        return StepOutput(logits, rows, cache.keys[:, :, n], cache.values[:, :, n])
+        return StepOutput(logits, None if outputs == "kv" else rows,
+                          cache.keys[:, :, n], cache.values[:, :, n])
 
     # --- batch oracle path ----------------------------------------------------
 

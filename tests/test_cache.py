@@ -95,6 +95,22 @@ class TestApplyPlan:
             state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({3, 1})}))
         assert state.live_sets() == before
 
+    @pytest.mark.parametrize("heads, error, message", [
+        # the first bad token in (layer, head) order decides, whatever its kind
+        (({1, 4}, {4, 9}), ProtectedTokenEviction, r"token 1 at \(0, 0\) is prompt"),
+        (({4, 9}, {1, 4}), UnknownToken, r"token 9 is not live at \(0, 0\)"),
+        # within a head, tokens are checked in ascending order
+        (({4, 5}, {1, 9}), ProtectedTokenEviction, r"token 1 at \(0, 1\) is prompt"),
+    ], ids=["protected-first", "unknown-first", "ascending"])
+    def test_first_invalid_token_across_heads_decides_the_error(self, heads, error, message):
+        state = fill_cache(1, 2, 4, prompt_len=2, total=6)
+        before = state.live_sets()
+        plan = EvictionPlan(1, 2, {(0, head): frozenset(tokens) for head, tokens in enumerate(heads)})
+        with pytest.raises(error, match=message):
+            state.apply_plan(plan)
+        assert state.live_sets() == before
+        assert state.evicted_total == 0
+
     def test_evicted_token_never_reappears(self):
         state = fill_cache(1, 1, 4, prompt_len=0, total=4)
         state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({2})}))

@@ -219,6 +219,30 @@ class TestProbeCycle:
             assert all(t < base for t in live)
             assert live <= pre[key]
 
+    def test_probe_forwards_skip_what_the_round_does_not_read(self, monkeypatch):
+        # every probe token but the last only joins the cache; the last one's
+        # rows are the observation, and no probe token's logits are computed
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
+        state, trace = self._prefill(model, texts)
+        forward_step = TinyDecoder.forward_step
+        calls = []
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("outputs", "logits"))
+            return forward_step(self, *args, **kwargs)
+
+        def no_decode_step(*args, **kwargs):
+            raise AssertionError("a probe round called decode_step")
+
+        monkeypatch.setattr(TinyDecoder, "forward_step", spy)
+        monkeypatch.setattr(engine, "decode_step", no_decode_step)
+        record, _ = probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+                                PolicyKind.HIERARCHICAL, EvictionBudget(2))
+        assert record.ran_probe
+        assert len(tokenize(small_probe().prompt_text, model.config.vocab_size)) == 25
+        assert calls == ["kv"] * 24 + ["rows"]
+
     def test_probe_token_left_live_is_a_leak(self, monkeypatch):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]

@@ -340,6 +340,54 @@ class TestStepNumerics:
         assert (loaded._layers[1][1][:, d:2 * d] == 1.0).all()
 
 
+class TestOutputs:
+    """forward_step's outputs keyword stops the forward early, changing no bit it computes."""
+
+    @staticmethod
+    def _pruned_cache(model, length):
+        cfg = model.config
+        ids = [10 + (7 * i) % 50 for i in range(length)]
+        state, _ = _decode_sequence(model, ids, prompt_len=1)
+        state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
+            (0, 0): frozenset({2, 3}), (0, 1): frozenset({3, 4}),
+            (1, 0): frozenset({4, 1}), (1, 1): frozenset({2, length - 1}),
+        }))
+        return state
+
+    # 63 fills the initial 64 slots with the new token, 64 grows the cache for it
+    @pytest.mark.parametrize("length", [5, 63, 64])
+    @pytest.mark.parametrize("outputs", ["rows", "kv"])
+    def test_early_stop_matches_the_full_forward_bitwise(self, length, outputs):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        full_state = self._pruned_cache(model, length)
+        state = copy.deepcopy(full_state)
+        full = model.forward_step(full_state, 9, length)
+        out = model.forward_step(state, 9, length, outputs=outputs)
+        assert out.logits is None
+        assert _bitwise_equal(out.keys, full.keys) and _bitwise_equal(out.values, full.values)
+        if outputs == "rows":
+            assert _bitwise_equal(out.rows, full.rows)
+            assert (out.rows[0, 0, 2:4] == 0.0).all()
+        else:
+            assert out.rows is None
+        assert state.live.shape == full_state.live.shape
+        assert _bitwise_equal(state.keys, full_state.keys)
+        assert _bitwise_equal(state.values, full_state.values)
+
+    @pytest.mark.parametrize("outputs", ["rows", "kv"])
+    def test_early_stop_requires_a_joining_token(self, outputs):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        state = self._pruned_cache(model, 5)
+        with pytest.raises(ValueError, match="requires include_new_kv"):
+            model.forward_step(state, 9, 4, include_new_kv=False, outputs=outputs)
+
+    def test_unknown_outputs_rejected(self):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        state = self._pruned_cache(model, 5)
+        with pytest.raises(ValueError, match="outputs must be"):
+            model.forward_step(state, 9, 5, outputs="keys")
+
+
 class TestInPlaceKv:
     """forward_step writes its new key/value into the cache slot at next_index."""
 
