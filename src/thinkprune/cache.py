@@ -126,19 +126,15 @@ class KvCacheState:
     def is_live(self, layer: int, head: int, token: int) -> bool:
         return 0 <= token < self.next_index and bool(self.live[layer, head, token])
 
-    def evictable(self, *, sequence_end: int | None = None) -> np.ndarray:
-        """(layers, heads, next_index) mask of the live tokens past the prompt and
-        outside the recent window that ends at sequence_end (default next_index).
-
-        Pass the real sequence length while probe tokens occupy the tail. With
-        a window of 0 nothing is recent, so tokens past sequence_end stay evictable.
+    def evictable(self) -> np.ndarray:
+        """(layers, heads, next_index) mask of the live tokens in
+        [prompt_len, next_index - recent_window): past the prompt and outside
+        the recent window. Empty when the window covers the whole sequence.
         """
-        positions = np.arange(self.next_index)
-        allowed = positions >= self.prompt_len
-        if self.protected.recent_window:
-            end = self.next_index if sequence_end is None else sequence_end
-            allowed &= positions < end - self.protected.recent_window
-        return self.live[:, :, :self.next_index] & allowed
+        evictable = np.zeros((self.num_layers, self.num_heads, self.next_index), dtype=bool)
+        span = slice(self.prompt_len, max(0, self.next_index - self.protected.recent_window))
+        evictable[:, :, span] = self.live[:, :, span]
+        return evictable
 
     def live_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """Immutable snapshot of every (layer, head) live index set."""
@@ -180,7 +176,7 @@ class KvCacheState:
         self.live[:, :, token_index] = True
         self.next_index += 1
 
-    def apply_plan(self, plan: EvictionPlan, *, sequence_end: int | None = None) -> int:
+    def apply_plan(self, plan: EvictionPlan) -> int:
         """Remove every planned token; validates the whole plan before mutating.
 
         Returns the number of entries removed. Raises UnknownToken or
@@ -192,7 +188,7 @@ class KvCacheState:
                 f"plan dimensions ({plan.num_layers}, {plan.num_heads}) do not match "
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
-        evictable = self.evictable(sequence_end=sequence_end)
+        evictable = self.evictable()
         # one entry per planned token, in the order the checks run: heads in
         # (layer, head) order, which plans keep, and each head's tokens ascending
         groups = [sorted(tokens) for tokens in plan.evicted.values()]

@@ -1,10 +1,10 @@
 """Autoregressive decode loop with periodic probe-and-prune rounds.
 
 Every interval_p newly generated reasoning tokens, the summarization probe
-is appended, one forward pass harvests the end-of-thinking attention rows,
-scores and step scores are computed, the active policy's plan is applied,
-and the probe tokens are removed again, leaving decoding conditioned on
-the pruned original sequence.
+is appended, its last forward harvests the end-of-thinking attention rows,
+and the probe tokens are removed again. Scores and step scores are then
+computed and the active policy's plan is applied to the original sequence,
+so decoding continues on the pruned sequence alone.
 """
 
 from __future__ import annotations
@@ -86,63 +86,6 @@ class DecodeConfig:
         return FULL_KV_NAME if self.policy is None else self.policy.value
 
 
-SCORE_PAIR = np.dtype([("token", np.int64), ("score", np.float64)])
-# one per (layer, head): where its pairs end in RoundScores.pairs
-HEAD_END = np.dtype([("layer", np.int64), ("head", np.int64), ("end", np.int64)])
-
-
-class RoundScores:
-    """One probe round's token scores, held as two arrays.
-
-    pairs holds every (layer, head)'s (token, score) pairs back to back, and
-    heads says where each head's run ends. A round keeps a few objects
-    instead of one list and float per scored token, so it is cheap to hold
-    and to free. Iterating yields (layer, head, pairs) per head, with pairs
-    a list of (token, score) tuples.
-    """
-
-    __slots__ = ("heads", "pairs")
-
-    def __init__(self, entries) -> None:
-        """entries: (layer, head, (token, score) pairs) per head, as iteration yields them."""
-        heads, pairs = [], []
-        for layer, head, head_pairs in entries:
-            pairs.extend(map(tuple, head_pairs))
-            heads.append((layer, head, len(pairs)))
-        self.heads = np.array(heads, dtype=HEAD_END)
-        self.pairs = np.array(pairs, dtype=SCORE_PAIR)
-
-    @classmethod
-    def from_tensor(cls, scores: ScoreTensor) -> "RoundScores":
-        """Every (layer, head) of scores in order, its scored tokens ascending:
-        the C order of np.nonzero over the scored mask."""
-        round_scores = cls.__new__(cls)
-        layers, heads, tokens = np.nonzero(scores.scored)
-        round_scores.pairs = np.empty(len(tokens), dtype=SCORE_PAIR)
-        round_scores.pairs["token"] = tokens
-        round_scores.pairs["score"] = scores.values[layers, heads, tokens]
-        layer_of, head_of = np.indices(scores.scored.shape[:2])
-        round_scores.heads = np.empty(layer_of.size, dtype=HEAD_END)
-        round_scores.heads["layer"] = layer_of.ravel()
-        round_scores.heads["head"] = head_of.ravel()
-        round_scores.heads["end"] = np.cumsum(np.count_nonzero(scores.scored, axis=2))
-        return round_scores
-
-    def __iter__(self):
-        pairs = self.pairs.tolist()
-        start = 0
-        for layer, head, end in self.heads.tolist():
-            yield layer, head, pairs[start:end]
-            start = end
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RoundScores) and list(self) == list(other)
-
-    def to_lists(self) -> list:
-        """The JSON form: [[layer, head, [[token, score], ...]], ...]."""
-        return [[layer, head, [list(pair) for pair in pairs]] for layer, head, pairs in self]
-
-
 @dataclass
 class ProbeRecord:
     """What one probe-and-prune round saw and did."""
@@ -152,7 +95,7 @@ class ProbeRecord:
     ran_probe: bool = False
     skipped: bool = False
     skip_reason: str | None = None
-    scores: RoundScores | None = None
+    scores: ScoreTensor | None = None
     step_scores: list | None = None
     allocation: list | None = None
     evicted: list | None = None
@@ -164,7 +107,9 @@ class ProbeRecord:
         # shallow: dataclasses.asdict would deep-copy every list
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.scores is not None:
-            data["scores"] = self.scores.to_lists()
+            # [[layer, head, [[token, score], ...]], ...]
+            data["scores"] = [[layer, head, [list(pair) for pair in pairs]]
+                              for layer, head, pairs in self.scores]
         return data
 
     @classmethod
@@ -172,15 +117,17 @@ class ProbeRecord:
         # records written before the field was retired still carry it
         data = {key: value for key, value in data.items() if key != "scores_digest"}
         if data.get("scores") is not None:
-            data["scores"] = RoundScores(data["scores"])
+            heads = {(layer, head): dict(pairs) for layer, head, pairs in data["scores"]}
+            data["scores"] = ScoreTensor(1 + max((layer for layer, _head in heads), default=-1),
+                                         1 + max((head for _layer, head in heads), default=-1),
+                                         heads)
         return cls(**data)
 
 
 @dataclass
 class ProbeArtifacts:
-    """In-memory objects from a probe round, for callers that need more than JSON."""
+    """In-memory objects from a probe round, for callers that need more than its record."""
 
-    scores: ScoreTensor
     seg: Segmentation
     step_scores: StepScores
 
@@ -330,10 +277,13 @@ def probe_cycle(
 ) -> tuple[ProbeRecord, ProbeArtifacts | None]:
     """One probe-and-prune round; the cache is updated in place.
 
-    Appends the probe, captures the end-of-thinking attention rows, scores
-    and segments, plans per the active policy (skipped when budget is None,
-    e.g. under a ratio cap where eviction happens at append time), applies
-    the plan, then removes every probe token. The cycle is skipped entirely
+    Appends the probe, captures the end-of-thinking attention rows and
+    removes every probe token, even when a probe forward raises. Only then
+    does it score and segment the original sequence, plan per the active
+    policy (skipped when budget is None, e.g. under a ratio cap where
+    eviction happens at append time) and apply the plan, which validates
+    it whole before evicting: a round that raises before it evicts leaves
+    the cache as it was. The cycle is skipped entirely
     if the model already produced its own end-of-thinking token
     ("post-reasoning") or the probe would not fit under the model's maximum
     sequence length ("no-room").
@@ -362,31 +312,30 @@ def probe_cycle(
             out = model.forward_step(state, pid, base + offset,
                                      outputs="rows" if offset == last else "kv")
             state.append(base + offset, out.keys, out.values)
-        last_rows = out.rows
-        record.ran_probe = True
-        # the one candidate mask of the round: evictable tokens before the probe
-        eligible = state.evictable(sequence_end=base)[:, :, :base]
-        scores = extract_token_scores(last_rows, trace, eligible, reason_end=base)
-        seg = segment(trace, markers)
-        step_scores = aggregate_step_scores(scores, seg, eligible)
-        record.scores = RoundScores.from_tensor(scores)
-        record.step_scores = _step_scores_to_lists(step_scores)
-        if keep_dump:
-            record.dump = _dense_dump(last_rows, base + len(probe_tokens) - 1)
-        if budget is not None:
-            ranking = scores
-            if policy is PolicyKind.H2O:
-                if h2o is None:
-                    raise ValueError("the h2o policy needs an H2OAccumulator")
-                ranking = h2o_scores(h2o.history(), state.num_layers, state.num_heads, eligible)
-            plan, allocation = plan_round(policy, ranking, seg, step_scores, eligible, base,
-                                          budget, (eviction_seed, round_index))
-            record.evicted_total = state.apply_plan(plan, sequence_end=base)
-            if allocation is not None:
-                record.allocation = _allocation_to_lists(allocation)
-            record.evicted, record.plan_sizes = _plan_to_lists(plan)
     finally:
         state.remove_suffix(base)
+    record.ran_probe = True
+    # the one candidate mask of the round
+    eligible = state.evictable()
+    scores = extract_token_scores(out.rows, trace, eligible)
+    seg = segment(trace, markers)
+    step_scores = aggregate_step_scores(scores, seg, eligible)
+    record.scores = scores
+    record.step_scores = _step_scores_to_lists(step_scores)
+    if keep_dump:
+        record.dump = _dense_dump(out.rows, base + last)
+    if budget is not None:
+        ranking = scores
+        if policy is PolicyKind.H2O:
+            if h2o is None:
+                raise ValueError("the h2o policy needs an H2OAccumulator")
+            ranking = h2o_scores(h2o.history(), state.num_layers, state.num_heads, eligible)
+        plan, allocation = plan_round(policy, ranking, seg, step_scores, eligible, base,
+                                      budget, (eviction_seed, round_index))
+        record.evicted_total = state.apply_plan(plan)
+        if allocation is not None:
+            record.allocation = _allocation_to_lists(allocation)
+        record.evicted, record.plan_sizes = _plan_to_lists(plan)
 
     leaked = np.argwhere(state.live[:, :, base:])
     if leaked.size:
@@ -396,7 +345,7 @@ def probe_cycle(
         raise ProbeLeak(
             f"live set grew during the probe cycle at (layer, head) {tuple(grown[0, :2].tolist())}"
         )
-    return record, ProbeArtifacts(scores, seg, step_scores)
+    return record, ProbeArtifacts(seg, step_scores)
 
 
 def _sample_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
@@ -510,7 +459,7 @@ def run(
             timings["probe_ms"] += (perf_counter() - probe_started) * 1e3
             records.append(record)
             if artifacts is not None and ratio_budget is not None:
-                ranking = round_ranking(artifacts.scores, artifacts.seg, artifacts.step_scores)
+                ranking = round_ranking(record.scores, artifacts.seg, artifacts.step_scores)
             if record.evicted_total > 0:
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:

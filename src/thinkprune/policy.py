@@ -369,14 +369,9 @@ class H2OAccumulator:
         self.sums[layer, head, tokens] += list(row.values())
         self.fed[layer, head, tokens] = True
 
-    def history(self) -> Mapping[tuple[int, int], Mapping[int, float]]:
-        """{(layer, head): {fed token: sum}}."""
-        return {
-            (layer, head): dict(zip(np.flatnonzero(self.fed[layer, head]).tolist(),
-                                    self.sums[layer, head, self.fed[layer, head]].tolist()))
-            for layer in range(self.num_layers)
-            for head in range(self.num_heads)
-        }
+    def history(self) -> ScoreTensor:
+        """Every fed token's sum, as a ScoreTensor as wide as the capacity."""
+        return ScoreTensor.from_arrays(self.sums, self.fed.copy())
 
     def rank(self, eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Ranker: each slot keyed by its accumulated attention, 0 if never fed."""
@@ -386,19 +381,17 @@ class H2OAccumulator:
 
 
 def h2o_scores(
-    history: Mapping[tuple[int, int], Mapping[int, float]],
+    history: ScoreTensor,
     num_layers: int,
     num_heads: int,
     live: Candidates,
 ) -> ScoreTensor:
-    """Accumulated attention as a ScoreTensor, filtered to live candidates."""
-    fed = ScoreTensor(num_layers, num_heads, {
-        (layer, head): history.get((layer, head), {})
-        for layer in range(num_layers)
-        for head in range(num_heads)
-    })
+    """Accumulated attention (H2OAccumulator.history) filtered to live candidates."""
+    if (history.num_layers, history.num_heads) != (num_layers, num_heads):
+        raise ValueError(f"history has ({history.num_layers}, {history.num_heads}) heads, "
+                         f"expected ({num_layers}, {num_heads})")
     return ScoreTensor.from_arrays(
-        fed.values, fed.scored & candidate_mask(live, fed.scored.shape))
+        history.values, history.scored & candidate_mask(live, history.scored.shape))
 
 
 def plan_h2o(

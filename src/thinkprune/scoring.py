@@ -154,6 +154,23 @@ class ScoreTensor:
     def head_scores(self, layer: int, head: int) -> Mapping[int, float]:
         return self.scores.get((layer, head), {})
 
+    def __iter__(self):
+        """(layer, head, [(token, score), ...]) for every (layer, head) in
+        order, each head's scored tokens ascending. Nothing is cached, so a
+        tensor held by a run record stays a few arrays, cheap to free."""
+        pairs = list(zip(np.nonzero(self.scored)[2].tolist(), self.values[self.scored].tolist()))
+        start = 0
+        for index, end in enumerate(np.cumsum(np.count_nonzero(self.scored, axis=2)).tolist()):
+            layer, head = divmod(index, self.num_heads)
+            yield layer, head, pairs[start:end]
+            start = end
+
+    def __eq__(self, other) -> bool:
+        """The same scored tokens with the same scores; the widths may differ."""
+        if not isinstance(other, ScoreTensor):
+            return NotImplemented
+        return list(self) == list(other)
+
 
 @dataclass(frozen=True)
 class StepScores:

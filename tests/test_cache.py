@@ -117,18 +117,6 @@ class TestApplyPlan:
         with pytest.raises(ValueError):
             state.append(2, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
 
-    def test_sequence_end_override_for_transient_suffix(self):
-        # With probe tokens appended, protection is judged against the real
-        # sequence end, not the inflated next_index.
-        state = fill_cache(1, 1, 4, prompt_len=1, total=10, recent=2)
-        # tokens 8, 9 are the protected recent window for a sequence of 10;
-        # pretending two probe tokens exist must not unprotect them.
-        with pytest.raises(ProtectedTokenEviction):
-            state.apply_plan(
-                EvictionPlan(1, 1, {(0, 0): frozenset({8})}), sequence_end=10
-            )
-        state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({7})}), sequence_end=10)
-
 
 class TestConservation:
     def test_appends_minus_evictions_equals_live(self):
@@ -356,11 +344,11 @@ class TestProtectedRegions:
         assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3]
         state.append(6, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
         assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3, 4]
-        # judged against a shorter real sequence, the window ends earlier
-        assert np.flatnonzero(state.evictable(sequence_end=5)[0, 0]).tolist() == [0, 1, 2]
 
-    def test_zero_window_leaves_tokens_past_sequence_end_evictable(self):
-        # Without a recent window nothing is recent, so probe tokens appended
-        # past the real sequence end remain evictable.
-        state = fill_cache(1, 1, 4, prompt_len=2, total=8)
-        assert np.flatnonzero(state.evictable(sequence_end=5)[0, 0]).tolist() == [2, 3, 4, 5, 6, 7]
+    def test_window_longer_than_the_sequence_leaves_nothing_evictable(self):
+        # next_index - recent_window is negative; it must not wrap around as a slice end
+        state = fill_cache(1, 2, 4, prompt_len=1, total=6, recent=9)
+        assert state.evictable().shape == (1, 2, 6)
+        assert not state.evictable().any()
+        with pytest.raises(ProtectedTokenEviction):
+            state.apply_plan(EvictionPlan(1, 2, {(0, 0): frozenset({2}), (0, 1): frozenset({3})}))

@@ -50,16 +50,16 @@ class ListCache:
     def nonprompt(self, key):
         return sum(1 for t in self.tokens(key) if t >= self.prompt_len)
 
-    def protected(self, token, sequence_end):
-        end = self.next_index if sequence_end is None else sequence_end
-        return token < self.prompt_len or (self.recent_window > 0 and token >= end - self.recent_window)
+    def protected(self, token):
+        return token < self.prompt_len or (self.recent_window > 0
+                                           and token >= self.next_index - self.recent_window)
 
-    def plan_error(self, evicted, sequence_end):
+    def plan_error(self, evicted):
         for key, victims in evicted.items():
             for token in sorted(victims):
                 if token not in self.tokens(key):
                     return UnknownToken
-                if self.protected(token, sequence_end):
+                if self.protected(token):
                     return ProtectedTokenEviction
         return None
 
@@ -107,11 +107,10 @@ class CacheMachine(RuleBasedStateMachine):
         num_layers, num_heads, _ = self.shape
         model = self.model
         end = model.next_index
-        sequence_end = data.draw(st.one_of(st.none(), st.integers(max(0, end - 3), end)))
         evicted = {}
         for layer in range(num_layers):
             keys = [(layer, head) for head in range(num_heads)]
-            evictable = {key: [t for t in model.tokens(key) if not model.protected(t, sequence_end)]
+            evictable = {key: [t for t in model.tokens(key) if not model.protected(t)]
                          for key in keys}
             limit = min([3] + [len(evictable[key]) for key in keys]) if valid else 3
             size = data.draw(st.integers(0, limit))
@@ -126,11 +125,11 @@ class CacheMachine(RuleBasedStateMachine):
                 evicted[key] = frozenset(
                     data.draw(st.lists(pool, min_size=size, max_size=size, unique=True)))
         plan = EvictionPlan(num_layers, num_heads, evicted)
-        error = model.plan_error(plan.evicted, sequence_end)
+        error = model.plan_error(plan.evicted)
         if error is not None:
-            expect_rejection(error, lambda: self.cache.apply_plan(plan, sequence_end=sequence_end))
+            expect_rejection(error, lambda: self.cache.apply_plan(plan))
             return
-        assert self.cache.apply_plan(plan, sequence_end=sequence_end) == plan.total()
+        assert self.cache.apply_plan(plan) == plan.total()
         model.remove(plan.evicted)
 
     @rule(tail=st.integers(-2, 5))
@@ -186,13 +185,11 @@ class CacheMachine(RuleBasedStateMachine):
                 assert values[row].tobytes() == value.tobytes()
             counts[(layer, head)] = len(tokens)
         assert cache.live_sets() == {key: frozenset(model.tokens(key)) for key in model.heads}
-        # the default end and every sequence_end the plan rule can draw
-        for sequence_end in (None, *range(max(0, model.next_index - 3), model.next_index + 1)):
-            evictable = cache.evictable(sequence_end=sequence_end)
-            assert evictable.shape == (*self.shape[:2], model.next_index)
-            for layer, head in model.heads:
-                assert np.flatnonzero(evictable[layer, head]).tolist() == [
-                    t for t in model.tokens((layer, head)) if not model.protected(t, sequence_end)]
+        evictable = cache.evictable()
+        assert evictable.shape == (*self.shape[:2], model.next_index)
+        for layer, head in model.heads:
+            assert np.flatnonzero(evictable[layer, head]).tolist() == [
+                t for t in model.tokens((layer, head)) if not model.protected(t)]
         stats = cache.stats()
         assert dict(stats.live_counts) == counts
         assert stats.average_live == sum(counts.values()) / len(counts)

@@ -18,10 +18,10 @@ from thinkprune.engine import (
     requery_logits,
     run,
 )
-from thinkprune.errors import ProbeLeak
+from thinkprune.errors import ProbeLeak, ProtectedTokenEviction
 from thinkprune.model import THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
 from thinkprune.policy import EvictionBudget, EvictionPlan, H2OAccumulator, PolicyKind
-from thinkprune.scoring import default_probe
+from thinkprune.scoring import ScoreTensor, default_probe
 from thinkprune.trace import ReasoningTrace, Token, default_marker_set
 
 PROMPT = "Solve: compute two plus two."
@@ -133,11 +133,11 @@ class TestScheduling:
 
 
 class TestProbeCycle:
-    def _prefill(self, model, texts, ids=None):
+    def _prefill(self, model, texts, ids=None, recent=0):
         cfg = model.config
         ids = ids if ids is not None else [10 + i for i in range(len(texts))]
         state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim,
-                             ProtectedRegions(1, 0))
+                             ProtectedRegions(1, recent))
         for i, tid in enumerate(ids):
             decode_step(state, model, tid, i)
         trace = ReasoningTrace(
@@ -160,7 +160,7 @@ class TestProbeCycle:
         assert record.ran_probe
         spans = [(s.start, s.end) for s in artifacts.seg.steps]
         assert spans == [(1, 5), (5, 7)]
-        scores = {(0, 0): dict(artifacts.scores.head_scores(0, 0))}
+        scores = {(0, 0): dict(record.scores.head_scores(0, 0))}
         live_sets = {(0, 0): set(range(1, 7))}
         want = alg1_reference(1, 1, spans, scores, live_sets, 1)
         got = {(layer, 0): set(heads[0]) for layer, heads in
@@ -243,6 +243,30 @@ class TestProbeCycle:
         assert len(tokenize(small_probe().prompt_text, model.config.vocab_size)) == 25
         assert calls == ["kv"] * 24 + ["rows"]
 
+    def test_candidates_end_where_the_recent_window_of_the_real_sequence_starts(self, monkeypatch):
+        # the probe is retracted before planning: the candidate mask is as wide
+        # as the real sequence, and the recent window covers its last tokens
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        texts = ["Q:", "So", " a", " b", ".", " Then", " c", " d", ".", " Wait", " e"]
+        recent, base = 3, len(texts)
+        state, trace = self._prefill(model, texts, recent=recent)
+        plan_round = engine.plan_round
+        seen = []
+
+        def spy(policy, scores, seg, step_scores, live, *args):
+            seen.append((live.copy(), state.next_index))
+            return plan_round(policy, scores, seg, step_scores, live, *args)
+
+        monkeypatch.setattr(engine, "plan_round", spy)
+        record, _ = probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+                                PolicyKind.HIERARCHICAL, EvictionBudget(1))
+        (live, next_index), = seen
+        assert next_index == base
+        assert live.shape == (model.config.num_layers, model.config.num_heads, base)
+        assert live[:, :, 1:base - recent].all()
+        assert not live[:, :, :1].any() and not live[:, :, base - recent:].any()
+        assert record.evicted_total > 0
+
     def test_probe_token_left_live_is_a_leak(self, monkeypatch):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
@@ -298,6 +322,80 @@ class TestProbeCycle:
         last = record.probe_records[-1]
         assert last.skipped and last.skip_reason == "no-room"
         assert not last.ran_probe
+
+
+class Fault(Exception):
+    """Raised by an injected fault."""
+
+
+def _raise_fault(*args, **kwargs):
+    raise Fault("injected")
+
+
+class TestProbeCycleFaults:
+    """A probe round that raises leaves live, evicted_total, next_index and
+    the H2O sums exactly as they were before it."""
+
+    def _run_faulty_round(self, inject, policy=PolicyKind.HIERARCHICAL, error=Fault):
+        """Prefill, call inject() to plant the fault, then run one round."""
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        cfg = model.config
+        # 45 tokens: the 25 probe tokens cross the cache's first 64 slots
+        texts = ["Q:"] + ["So", " a", " b", "."] * 11
+        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
+        h2o = H2OAccumulator(cfg.num_layers, cfg.num_heads)
+        for i in range(len(texts)):
+            h2o.add(decode_step(state, model, 10 + i, i).rows)
+        # an earlier round's evictions
+        state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
+            (l, h): frozenset({5 + h}) for l in range(cfg.num_layers) for h in range(cfg.num_heads)}))
+        trace = ReasoningTrace(tuple(Token(i, 10 + i, text) for i, text in enumerate(texts)), 1)
+        live, evicted, next_index = state.live.copy(), state.evicted_total, state.next_index
+        sums = h2o.sums.copy()
+        inject()
+        with pytest.raises(error):
+            probe_cycle(state, model, trace, default_marker_set(), small_probe(), policy,
+                        EvictionBudget(2), h2o=h2o)
+        width = live.shape[2]
+        assert state.live[:, :, :width].tobytes() == live.tobytes()
+        assert not state.live[:, :, width:].any()
+        assert (state.evicted_total, state.next_index) == (evicted, next_index)
+        assert h2o.sums.tobytes() == sums.tobytes()
+
+    def test_probe_forward_raising_midway(self, monkeypatch):
+        forward_step = TinyDecoder.forward_step
+        calls = []
+
+        def failing(self, *args, **kwargs):
+            calls.append(kwargs.get("outputs"))
+            if len(calls) == 22:  # past position 64, so after the cache has grown
+                raise Fault("injected")
+            return forward_step(self, *args, **kwargs)
+
+        self._run_faulty_round(lambda: monkeypatch.setattr(TinyDecoder, "forward_step", failing))
+        assert calls == ["kv"] * 22
+
+    def test_segment_raising(self, monkeypatch):
+        self._run_faulty_round(lambda: monkeypatch.setattr(engine, "segment", _raise_fault))
+
+    @pytest.mark.parametrize("policy,planner", [
+        (PolicyKind.HIERARCHICAL, "plan_from_allocation"),
+        (PolicyKind.RANDOM, "plan_random"),
+        (PolicyKind.H2O, "plan_h2o"),
+        (PolicyKind.STREAMING, "plan_oldest"),
+    ])
+    def test_planner_raising(self, monkeypatch, policy, planner):
+        self._run_faulty_round(lambda: monkeypatch.setattr(engine, planner, _raise_fault), policy)
+
+    def test_apply_plan_rejecting_an_injected_plan(self, monkeypatch):
+        def protected_plan(policy, scores, *args):
+            # token 20 is evictable, prompt token 0 is not
+            return EvictionPlan(scores.num_layers, scores.num_heads, {
+                (l, h): frozenset({0, 20})
+                for l in range(scores.num_layers) for h in range(scores.num_heads)}), None
+
+        self._run_faulty_round(lambda: monkeypatch.setattr(engine, "plan_round", protected_plan),
+                               error=ProtectedTokenEviction)
 
 
 class TestRequery:
@@ -415,7 +513,7 @@ class TestH2OWiring:
                             acc[token] = acc.get(token, 0.0) + float(weight)
                 hexed = {key: {t: v.hex() for t, v in acc.items()} for key, acc in per_head.items()}
                 assert {key: {t: v.hex() for t, v in acc.items()}
-                        for key, acc in self.history().items()} == hexed
+                        for key, acc in self.history().scores.items()} == hexed
                 checked.append(rows.shape[2])
 
         monkeypatch.setattr(engine, "decode_step", remember_cache)
@@ -501,11 +599,11 @@ class TestRunRecord:
         for i in range(len(texts)):
             decode_step(state, model, 10 + i, i)
         trace = ReasoningTrace(tuple(Token(i, 10 + i, text) for i, text in enumerate(texts)), 1)
-        record, artifacts = probe_cycle(
+        record, _ = probe_cycle(
             state, model, trace, default_marker_set(), small_probe(),
             PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
-        scores = artifacts.scores
+        scores = record.scores
         old = [
             [layer, head, [[t, s] for t, s in sorted(scores.head_scores(layer, head).items())]]
             for layer in range(scores.num_layers)
@@ -521,17 +619,20 @@ class TestRunRecord:
         cfg = TinyModelConfig(rng_seed=6)
         record = run(cfg, PROMPT, make_config(policy=PolicyKind.HIERARCHICAL,
                                               budget=EvictionBudget(2), max_new=20))
-        from thinkprune.engine import HEAD_END, SCORE_PAIR, RoundScores, RunRecord
+        from thinkprune.engine import RunRecord
 
-        loaded = RunRecord.from_dict(json.loads(json.dumps(record.to_dict())))
-        rounds = [(a, b) for a, b in zip(record.probe_records, loaded.probe_records) if a.scores]
+        text = json.dumps(record.to_dict())
+        loaded = RunRecord.from_dict(json.loads(text))
+        assert json.dumps(loaded.to_dict()) == text
+        rounds = [(a, b) for a, b in zip(record.probe_records, loaded.probe_records)
+                  if a.scores is not None]
         assert rounds
         for original, again in rounds:
-            assert isinstance(again.scores, RoundScores)
-            assert again.scores.pairs.dtype == SCORE_PAIR and again.scores.heads.dtype == HEAD_END
+            assert isinstance(again.scores, ScoreTensor)
             assert again.scores == original.scores
-            assert again.scores.pairs.tobytes() == original.scores.pairs.tobytes()
-            assert again.scores.heads.tobytes() == original.scores.heads.tobytes()
+            assert (again.scores.num_layers, again.scores.num_heads) == (
+                original.scores.num_layers, original.scores.num_heads)
+            assert sum(len(pairs) for _l, _h, pairs in again.scores) > 0
 
     def test_timings_excluded_from_canonical_form(self):
         cfg = TinyModelConfig(rng_seed=6)

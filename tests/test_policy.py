@@ -305,6 +305,12 @@ class TestH2O:
         scores = h2o_scores(acc.history(), 1, 1, live)
         assert set(scores.head_scores(0, 0)) == {1}
 
+    def test_history_of_other_dimensions_rejected(self):
+        acc = H2OAccumulator(1, 2)
+        acc.update(0, 1, {0: 1.0})
+        with pytest.raises(ValueError, match=r"\(1, 2\) heads, expected \(1, 1\)"):
+            h2o_scores(acc.history(), 1, 1, all_live)
+
 
 class TestPlanStreaming:
     def test_middle_eviction(self):

@@ -7,11 +7,13 @@
 and writes {cell name: record.to_dict()}. The matrix: the full-cache run,
 and each of ours/random/h2o/streaming under periodic budgets (k, interval,
 recent window) in {(0, 8, 0), (3, 8, 0) with attention dumps, (8, 16, 4),
-(5, 6, 0)} and under ratio caps 0.15, 0.3 and 0.6 of the full run's
-average occupancy; greedy and sampled decoding; model seeds 0 and 1; two
-prompts; 80 new tokens; 2 layers x 3 heads. That is 232 run cells. The
+(5, 6, 0), (3, 8, 96)} and under ratio caps 0.15, 0.3 and 0.6 of the full
+run's average occupancy; greedy and sampled decoding; model seeds 0 and 1;
+two prompts; 80 new tokens; 2 layers x 3 heads. That is 264 run cells. The
 tight 0.15 cap makes the hierarchical policy evict tokens generated after
-its latest probe round.
+its latest probe round. A recent window of 96 is longer than every
+sequence (a 12- or 15-token prompt plus 80 tokens), so no probe round
+has a candidate.
 
 Long cells give probe rounds traces with dozens of steps: the benchmark's
 model shape (4 layers x 4 heads, model dim 64, model seed 0), two
@@ -58,7 +60,8 @@ PROMPTS = (
     "Solve: compute two plus two. First add, then check the sum again.",
     "Problem: a value x times three equals six. So what is x? Let me see.",
 )
-PERIODIC = ((0, 8, 0, False), (3, 8, 0, True), (8, 16, 4, False), (5, 6, 0, False))
+PERIODIC = ((0, 8, 0, False), (3, 8, 0, True), (8, 16, 4, False), (5, 6, 0, False),
+            (3, 8, 96, False))
 RATIOS = (0.15, 0.3, 0.6)
 RATIO_INTERVAL = 8
 MAX_NEW = 80
