@@ -42,7 +42,6 @@ from .policy import (
     plan_h2o,
     plan_random,
     plan_streaming,
-    select_within_step,
 )
 from .scoring import (
     AttentionDump,

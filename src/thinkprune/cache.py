@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -189,19 +189,15 @@ class KvCacheState:
                 f"cache ({self.num_layers}, {self.num_heads})"
             )
         evictable = self.evictable()
-        # one entry per planned token, in the order the checks run: heads in
-        # (layer, head) order, which plans keep, and each head's tokens ascending
-        groups = [sorted(tokens) for tokens in plan.evicted.values()]
-        tokens = np.fromiter(chain.from_iterable(groups), dtype=np.intp)
-        layers, heads = np.divmod(
-            np.repeat(np.arange(len(groups)), [len(group) for group in groups]), self.num_heads)
+        # plan rows ascend by (layer, head, token), the order the checks run
+        layers, heads, tokens = plan.victims.T
         known = (tokens >= 0) & (tokens < self.next_index)
         live = known & self.live[layers, heads, np.where(known, tokens, 0)]
         allowed = np.zeros_like(live)
         allowed[live] = evictable[layers[live], heads[live], tokens[live]]
         if not allowed.all():
             first = int(np.argmin(allowed))
-            layer, head, token = int(layers[first]), int(heads[first]), int(tokens[first])
+            layer, head, token = plan.victims[first].tolist()
             if not live[first]:
                 raise UnknownToken(f"token {token} is not live at ({layer}, {head})")
             raise ProtectedTokenEviction(

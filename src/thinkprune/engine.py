@@ -203,16 +203,9 @@ def _step_scores_to_lists(step_scores: StepScores) -> list:
     ]
 
 
-def _plan_to_lists(plan) -> tuple[list, list]:
-    evicted = [
-        [layer, [sorted(plan.head_set(layer, head)) for head in range(plan.num_heads)]]
-        for layer in range(plan.num_layers)
-    ]
-    sizes = [
-        [layer, [len(plan.head_set(layer, head)) for head in range(plan.num_heads)]]
-        for layer in range(plan.num_layers)
-    ]
-    return evicted, sizes
+def _plan_to_lists(plan: EvictionPlan) -> tuple[list, list]:
+    return ([[layer, heads] for layer, heads in enumerate(plan.head_lists())],
+            [[layer, counts] for layer, counts in enumerate(plan.counts.tolist())])
 
 
 def _allocation_to_lists(allocation) -> list:

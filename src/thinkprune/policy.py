@@ -18,7 +18,8 @@ policy_ranker maps each PolicyKind to its Ranker for both.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+import numbers
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceedsStep
 from .scoring import Candidates, ScoreTensor, StepScores, candidate_mask, ranked_step_order
-from .trace import Segmentation, Step
+from .trace import Segmentation
 
 # (eligible (layers, heads, n) mask, counts to evict (layers, heads)) ->
 # (layers, heads, n) finite keys; lower keys are evicted first
@@ -64,37 +65,75 @@ class StepAllocation:
         return sum(e for allocs in self.by_layer.values() for _, e in allocs)
 
 
-@dataclass(frozen=True)
 class EvictionPlan:
-    """Per-(layer, head) sets of token indices to remove from the cache.
+    """(layer, head, token) slots to remove from the cache.
 
-    Head sets within a layer may differ in membership but never in size.
+    victims is a read-only (victims, 3) integer array of (layer, head,
+    token) rows in ascending order; counts holds each (layer, head)'s
+    number of victims, equal across the heads of a layer. Build one from a
+    {(layer, head): integer tokens} mapping (negative or out-of-range
+    tokens are the cache's to reject), or from a mask with of_mask.
     """
 
-    num_layers: int
-    num_heads: int
-    evicted: Mapping[tuple[int, int], frozenset[int]]
+    def __init__(self, num_layers: int, num_heads: int,
+                 evicted: Mapping[tuple[int, int], Iterable[int]]):
+        rows = set()
+        for (layer, head), tokens in evicted.items():
+            if not (0 <= layer < num_layers and 0 <= head < num_heads):
+                raise ValueError(f"plan entry {(layer, head)} outside ({num_layers}, {num_heads})")
+            for token in tokens:
+                if isinstance(token, bool) or not isinstance(token, numbers.Integral):
+                    raise ValueError(f"plan token {token!r} at ({layer}, {head}) is not an integer")
+                rows.add((layer, head, int(token)))
+        self._set(num_layers, num_heads, np.array(sorted(rows), dtype=np.intp).reshape(-1, 3))
 
-    def __post_init__(self) -> None:
-        full = {
-            (layer, head): frozenset(self.evicted.get((layer, head), frozenset()))
-            for layer in range(self.num_layers)
-            for head in range(self.num_heads)
-        }
-        for key in self.evicted:
-            if key not in full:
-                raise ValueError(f"plan entry {key} outside ({self.num_layers}, {self.num_heads})")
-        for layer in range(self.num_layers):
-            sizes = {len(full[(layer, head)]) for head in range(self.num_heads)}
-            if len(sizes) > 1:
-                raise ValueError(f"head eviction counts differ within layer {layer}: {sorted(sizes)}")
-        object.__setattr__(self, "evicted", full)
+    @classmethod
+    def of_mask(cls, picked: np.ndarray) -> "EvictionPlan":
+        """The plan evicting the set slots of a (layers, heads, n) mask."""
+        plan = cls.__new__(cls)
+        plan._set(*picked.shape[:2], np.argwhere(picked))
+        return plan
+
+    def _set(self, num_layers: int, num_heads: int, victims: np.ndarray) -> None:
+        counts = np.bincount(victims[:, 0] * num_heads + victims[:, 1],
+                             minlength=num_layers * num_heads).reshape(num_layers, num_heads)
+        uneven = np.flatnonzero((counts != counts[:, :1]).any(axis=1))
+        if uneven.size:
+            layer = int(uneven[0])
+            raise ValueError(f"head eviction counts differ within layer {layer}: "
+                             f"{sorted(set(counts[layer].tolist()))}")
+        victims.flags.writeable = False
+        self.num_layers, self.num_heads = num_layers, num_heads
+        self.victims = victims
+        self.counts = counts
+
+    def head_lists(self) -> list[list[list[int]]]:
+        """Per layer, per head, the ascending list of victim tokens."""
+        tokens = self.victims[:, 2].tolist()
+        ends = np.cumsum(self.counts).tolist()
+        heads = [tokens[start:end] for start, end in zip([0] + ends, ends)]
+        return [heads[layer * self.num_heads:(layer + 1) * self.num_heads]
+                for layer in range(self.num_layers)]
+
+    @property
+    def evicted(self) -> dict[tuple[int, int], frozenset[int]]:
+        """{(layer, head): victim tokens} for every (layer, head)."""
+        return {(layer, head): frozenset(tokens)
+                for layer, heads in enumerate(self.head_lists())
+                for head, tokens in enumerate(heads)}
 
     def head_set(self, layer: int, head: int) -> frozenset[int]:
-        return self.evicted[(layer, head)]
+        return frozenset(self.head_lists()[layer][head])
 
     def total(self) -> int:
-        return sum(len(v) for v in self.evicted.values())
+        return len(self.victims)
+
+    def __eq__(self, other) -> bool:
+        """The same dimensions and victims, whatever mask width they came from."""
+        if not isinstance(other, EvictionPlan):
+            return NotImplemented
+        return ((self.num_layers, self.num_heads) == (other.num_layers, other.num_heads)
+                and np.array_equal(self.victims, other.victims))
 
 
 def allocate(
@@ -127,52 +166,6 @@ def allocate(
     return StepAllocation(by_layer)
 
 
-def _lowest_in_step(eligible: np.ndarray, keys: np.ndarray, step: Step, count: int) -> np.ndarray:
-    """(rows, count) positions of the count lowest-keyed eligible tokens of
-    step in each row of (rows, n) eligible and keys, ties to the smaller
-    position. Every row must hold count eligible tokens in the step."""
-    span = np.s_[:, step.start:step.end]
-    order = np.argsort(np.where(eligible[span], keys[span], np.inf), axis=1, kind="stable")
-    return step.start + order[:, :count]
-
-
-def _short_step_error(count: int, available: int) -> BudgetExceedsStep:
-    return BudgetExceedsStep(
-        f"cannot evict {count} tokens from a step with {available} live tokens"
-    )
-
-
-def select_within_step(
-    scores: ScoreTensor,
-    step: Step,
-    count: int,
-    layer: int,
-    head: int,
-    live: Candidates,
-) -> frozenset[int]:
-    """The `count` live tokens of the step with the lowest scores at (layer, head).
-
-    Ties are broken toward the smaller token index; unscored tokens score 0.
-    """
-    eligible = candidate_mask(live, (scores.num_layers, scores.num_heads, step.end))
-    available = int(np.count_nonzero(eligible[layer, head, step.start:]))
-    if count > available:
-        raise _short_step_error(count, available)
-    keys = scores.padded(step.end)[layer, head:head + 1]
-    return frozenset(_lowest_in_step(eligible[layer, head:head + 1], keys, step, count)[0].tolist())
-
-
-def _plan_of(picked: np.ndarray) -> EvictionPlan:
-    """The plan evicting a (layers, heads, n) mask of tokens."""
-    num_layers, num_heads = picked.shape[:2]
-    tokens = np.nonzero(picked)[2].tolist()
-    ends = np.cumsum(np.count_nonzero(picked, axis=2)).tolist()
-    return EvictionPlan(num_layers, num_heads, {
-        divmod(index, num_heads): frozenset(tokens[start:end])
-        for index, (start, end) in enumerate(zip([0] + ends, ends))
-    })
-
-
 def plan_from_allocation(
     scores: ScoreTensor,
     seg: Segmentation,
@@ -193,11 +186,16 @@ def plan_from_allocation(
         for head in range(scores.num_heads):
             for sid, count in order:
                 if count > sizes[layer][head][sid]:
-                    raise _short_step_error(count, sizes[layer][head][sid])
+                    raise BudgetExceedsStep(f"cannot evict {count} tokens from a step with "
+                                            f"{sizes[layer][head][sid]} live tokens")
         for sid, count in order:
-            chosen = _lowest_in_step(eligible[layer], keys[layer], seg.steps[sid], count)
-            picked[layer, heads, chosen] = True
-    return _plan_of(picked)
+            # per head, the count lowest-scoring eligible tokens of the step,
+            # ties to the smaller position
+            step = seg.steps[sid]
+            span = np.s_[layer, :, step.start:step.end]
+            ranked = np.argsort(np.where(eligible[span], keys[span], np.inf), axis=1, kind="stable")
+            picked[layer, heads, step.start + ranked[:, :count]] = True
+    return EvictionPlan.of_mask(picked)
 
 
 def build_plan(
@@ -314,7 +312,7 @@ def plan_by_selector(
     """Evict the min(k, live) lowest-keyed live tokens below seq_len per (layer, head)."""
     eligible = candidate_mask(live, (num_layers, num_heads, seq_len))
     counts = np.minimum(budget.k, np.count_nonzero(eligible, axis=2))
-    return _plan_of(lowest_keyed(eligible, counts, rank(eligible, counts)))
+    return EvictionPlan.of_mask(lowest_keyed(eligible, counts, rank(eligible, counts)))
 
 
 def plan_random(
@@ -438,14 +436,7 @@ def plan_oldest(
 
 def plan_to_dict(plan: EvictionPlan, allocation: StepAllocation | None = None) -> dict:
     """JSON form: {"layers": [{"heads": [[indices...], ...]}, ...], "allocation": ...}."""
-    layers = [
-        {
-            "heads": [
-                sorted(plan.head_set(layer, head)) for head in range(plan.num_heads)
-            ]
-        }
-        for layer in range(plan.num_layers)
-    ]
+    layers = [{"heads": heads} for heads in plan.head_lists()]
     alloc = None
     if allocation is not None:
         alloc = [

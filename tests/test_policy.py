@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +17,14 @@ from conftest import (
     tensor_from_dict,
 )
 
+from thinkprune.engine import _plan_to_lists
 from thinkprune.errors import BudgetExceedsStep
 from thinkprune.policy import (
     EvictionBudget,
     EvictionPlan,
     H2OAccumulator,
     PolicyKind,
+    StepAllocation,
     allocate,
     build_plan,
     h2o_scores,
@@ -34,8 +38,8 @@ from thinkprune.policy import (
     plan_to_dict,
     policy_ranker,
     random_victims,
+    plan_from_allocation,
     round_ranking,
-    select_within_step,
 )
 from thinkprune.scoring import ScoreTensor, StepScores, aggregate_step_scores
 
@@ -107,27 +111,31 @@ class TestAllocate:
 
 
 class TestSelectWithinStep:
-    def test_lowest_scores_selected(self):
+    """Selection inside one step, through plan_from_allocation with a
+    one-step allocation."""
+
+    @staticmethod
+    def select(scores, count):
         seg = make_segmentation(10, [3])
+        plan = plan_from_allocation(scores, seg, all_live, StepAllocation({0: ((0, count),)}))
+        return plan.head_set(0, 0)
+
+    def test_lowest_scores_selected(self):
         scores = ScoreTensor(1, 1, {(0, 0): {10: 0.3, 11: 0.1, 12: 0.2}})
-        chosen = select_within_step(scores, seg.steps[0], 2, 0, 0, all_live)
-        assert chosen == frozenset({11, 12})
+        assert self.select(scores, 2) == frozenset({11, 12})
 
     def test_ties_evict_smaller_index_first(self):
-        seg = make_segmentation(10, [3])
         scores = ScoreTensor(1, 1, {(0, 0): {10: 0.2, 11: 0.2, 12: 0.2}})
-        assert select_within_step(scores, seg.steps[0], 1, 0, 0, all_live) == frozenset({10})
+        assert self.select(scores, 1) == frozenset({10})
 
     def test_full_step(self):
-        seg = make_segmentation(10, [3])
         scores = ScoreTensor(1, 1, {(0, 0): {10: 0.3, 11: 0.1, 12: 0.2}})
-        assert select_within_step(scores, seg.steps[0], 3, 0, 0, all_live) == frozenset({10, 11, 12})
+        assert self.select(scores, 3) == frozenset({10, 11, 12})
 
     def test_budget_exceeds_step(self):
-        seg = make_segmentation(10, [3])
         scores = ScoreTensor(1, 1, {(0, 0): {10: 0.3}})
-        with pytest.raises(BudgetExceedsStep):
-            select_within_step(scores, seg.steps[0], 4, 0, 0, all_live)
+        with pytest.raises(BudgetExceedsStep, match="cannot evict 4 tokens from a step with 3"):
+            self.select(scores, 4)
 
 
 class TestBuildPlan:
@@ -220,6 +228,10 @@ class TestEvictionPlanType:
     def test_uniform_head_sizes_enforced(self):
         with pytest.raises(ValueError, match="differ"):
             EvictionPlan(1, 2, {(0, 0): frozenset({3}), (0, 1): frozenset()})
+        mask = np.zeros((2, 2, 5), dtype=bool)
+        mask[1, 0, [1, 2]] = True
+        with pytest.raises(ValueError, match=re.escape("differ within layer 1: [0, 2]")):
+            EvictionPlan.of_mask(mask)
 
     def test_layers_may_differ(self):
         plan = EvictionPlan(2, 1, {(0, 0): frozenset({3, 4}), (1, 0): frozenset()})
@@ -234,6 +246,68 @@ class TestEvictionPlanType:
         plan = EvictionPlan(1, 2, {(0, 0): frozenset({4, 2}), (0, 1): frozenset({3, 5})})
         data = plan_to_dict(plan)
         assert data == {"layers": [{"heads": [[2, 4], [3, 5]]}], "allocation": None}
+
+    @pytest.mark.parametrize("token", [3.7, 3.0, np.float64(2.0), True, np.True_, "3", None],
+                             ids=repr)
+    def test_non_integer_token_rejected(self, token):
+        with pytest.raises(ValueError, match=re.escape(f"{token!r} at (0, 1)")):
+            EvictionPlan(1, 2, {(0, 0): frozenset({2}), (0, 1): frozenset({token})})
+
+    def test_any_integer_token_accepted(self):
+        # negative and out-of-range tokens are the cache's to reject
+        plan = EvictionPlan(1, 3, {(0, 0): {np.int64(4)}, (0, 1): {-3}, (0, 2): {10**6}})
+        assert plan.head_lists() == [[[4], [-3], [10**6]]]
+
+    @staticmethod
+    def random_victims(rng):
+        """(num_layers, num_heads, {(layer, head): tokens}) with equal head
+        counts per layer, several layers evicting nothing."""
+        num_layers, num_heads, width = int(rng.integers(1, 4)), int(rng.integers(1, 4)), 12
+        evicted = {}
+        for layer in range(num_layers):
+            count = int(rng.choice([0, 0, 1, 3, width]))
+            for head in range(num_heads):
+                evicted[(layer, head)] = frozenset(
+                    rng.choice(width, size=count, replace=False).tolist())
+        return num_layers, num_heads, evicted
+
+    @staticmethod
+    def mask_of(num_layers, num_heads, evicted, width):
+        mask = np.zeros((num_layers, num_heads, width), dtype=bool)
+        for (layer, head), tokens in evicted.items():
+            mask[layer, head, list(tokens)] = True
+        return mask
+
+    def test_mask_plans_equal_dict_plans_at_every_width(self, rng):
+        for _ in range(50):
+            num_layers, num_heads, evicted = self.random_victims(rng)
+            plan = EvictionPlan(num_layers, num_heads, evicted)
+            for width in (12, 13, 40):
+                mask = self.mask_of(num_layers, num_heads, evicted, width)
+                assert EvictionPlan.of_mask(mask) == plan
+            assert EvictionPlan.of_mask(mask) == EvictionPlan.of_mask(mask[:, :, :12])
+            assert not plan.victims.flags.writeable
+
+    def test_views_match_the_sorted_reference(self, rng):
+        for _ in range(50):
+            num_layers, num_heads, evicted = self.random_victims(rng)
+            mask = self.mask_of(num_layers, num_heads, evicted, int(rng.integers(12, 20)))
+            plan = EvictionPlan.of_mask(mask)
+            # reference: sorted loops over the victim sets
+            keys = [(layer, head) for layer in range(num_layers) for head in range(num_heads)]
+            heads = [[sorted(evicted[(layer, head)]) for head in range(num_heads)]
+                     for layer in range(num_layers)]
+            sizes = [[len(evicted[(layer, head)]) for head in range(num_heads)]
+                     for layer in range(num_layers)]
+            assert plan.head_lists() == heads
+            assert plan.counts.tolist() == sizes
+            assert plan.evicted == {key: evicted[key] for key in keys}
+            assert all(plan.head_set(*key) == evicted[key] for key in keys)
+            assert plan.total() == sum(len(tokens) for tokens in evicted.values())
+            assert plan_to_dict(plan) == {"layers": [{"heads": h} for h in heads],
+                                          "allocation": None}
+            assert _plan_to_lists(plan) == ([[layer, h] for layer, h in enumerate(heads)],
+                                            [[layer, n] for layer, n in enumerate(sizes)])
 
 
 class TestPlanRandom:
