@@ -260,9 +260,9 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> in
         return 0
     eligible = state.evictable()
     available = np.add.reduce(eligible, axis=2, dtype=np.intp)
-    short = np.argwhere(overflow > available).tolist()
-    if short:
-        layer, head = short[0]
+    short = overflow > available
+    if short.any():
+        layer, head = np.argwhere(short)[0].tolist()
         raise BudgetInfeasible(
             f"(layer {layer}, head {head}) must evict {overflow[layer, head]} but only "
             f"{available[layer, head]} tokens are eligible"

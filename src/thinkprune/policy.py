@@ -9,9 +9,11 @@ is the unbudgeted first/recent window form of streaming.
 
 Every baseline, and the hierarchical policy under a ratio cap, ranks its
 victims with a Ranker: one call per probe round or capped append gives a
-key to every (layer, head, position) slot. lowest_keyed is the only code
-that turns keys into victims: per (layer, head), the eligible slots with
-the lowest keys, ties to the smaller position. Probe rounds reach it
+key to every (layer, head, position) slot; random's keys are one uniform
+draw. lowest_keyed is the only code that turns keys into victims: per
+(layer, head), the eligible slots with the lowest keys, ties to the
+smaller position, by one argmin when no head takes more than one (every
+capped append) and one stable sort otherwise. Probe rounds reach it
 through plan_by_selector, ratio caps through cache.enforce_budget, and
 policy_ranker maps each PolicyKind to its Ranker for both.
 """
@@ -216,11 +218,18 @@ def lowest_keyed(eligible: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> 
     the lowest keys per (layer, head), ties to the smaller position.
 
     counts must not exceed a head's eligible slots and keys must be finite,
-    so the ineligible slots, keyed inf here, always sort after them.
+    so the ineligible slots, keyed inf here, always sort after them. When no
+    head takes more than one, argmin, which returns the first of tied minima
+    as the stable sort does, picks each victim.
     """
-    order = np.argsort(np.where(eligible, keys, np.inf), axis=2, kind="stable")
-    first = order[:, :, :counts.max(initial=0)]
+    masked = np.where(eligible, keys, np.inf)
     picked = np.zeros_like(eligible)
+    if counts.max(initial=0) <= 1:
+        layers, heads = np.nonzero(counts)
+        if layers.size:
+            picked[layers, heads, np.argmin(masked[layers, heads], axis=1)] = True
+        return picked
+    first = np.argsort(masked, axis=2, kind="stable")[:, :, :counts.max()]
     np.put_along_axis(picked, first, np.arange(first.shape[2]) < counts[..., None], axis=2)
     return picked
 
@@ -231,24 +240,15 @@ def oldest_first(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def random_victims(seed_prefix: Sequence[int]) -> Ranker:
-    """Uniform draw without replacement, seeded by (*seed_prefix, layer, head).
+    """Every slot keyed by one uniform draw from default_rng(seed_prefix).
 
-    The generator is split deterministically per (layer, head), so the draw
-    does not depend on the order in which heads are visited. Drawn slots key
-    0 and all others 1.
+    IID uniform keys make each head's lowest-keyed eligible slots a uniform
+    sample without replacement. The draw covers every (layer, head,
+    position) slot at once, so it does not depend on the order in which
+    heads are visited.
     """
     prefix = list(seed_prefix)
-
-    def rank(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        keys = np.ones(eligible.shape)
-        for layer, head in np.argwhere(counts > 0).tolist():
-            positions = np.flatnonzero(eligible[layer, head])
-            rng = np.random.default_rng(prefix + [layer, head])
-            drawn = rng.choice(len(positions), size=int(counts[layer, head]), replace=False)
-            keys[layer, head, positions[drawn]] = 0.0
-        return keys
-
-    return rank
+    return lambda eligible, counts: np.random.default_rng(prefix).random(eligible.shape)
 
 
 def lowest_scores(scores: ScoreTensor) -> Ranker:

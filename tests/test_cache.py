@@ -24,7 +24,6 @@ from thinkprune.policy import (
     oldest_first,
     plan_by_selector,
     policy_ranker,
-    random_victims,
 )
 
 
@@ -215,11 +214,10 @@ class TestEnforceBudget:
         assert {key: before[key] - after[key] for key in before} == dict(plan.evicted)
 
     def test_heads_of_a_layer_may_evict_different_counts(self):
-        # Random victims leave token 3 live in head 1 only, so the suffix
-        # removal leaves the two heads of layer 0 with different live counts.
+        # A plan leaves token 3 live in head 1 only, so the suffix removal
+        # leaves the two heads of layer 0 with different live counts.
         state = fill_cache(1, 2, 4, prompt_len=0, total=4)
-        assert enforce_budget(state, CacheBudget(max_slots=2, recent_window=0),
-                              random_victims((0,))) == 6
+        assert state.apply_plan(EvictionPlan(1, 2, {(0, 0): [1, 2, 3], (0, 1): [0, 1, 2]})) == 6
         assert state.live_sets() == {(0, 0): frozenset({0}), (0, 1): frozenset({3})}
         state.remove_suffix(3)
         assert enforce_budget(state, CacheBudget(max_slots=1, recent_window=0), oldest_first) == 1

@@ -155,13 +155,14 @@ class CacheMachine(RuleBasedStateMachine):
             expect_rejection(BudgetInfeasible, lambda: enforce_budget(self.cache, budget, rank))
             return
 
+        # the reference's own uniform key for every (layer, head, position) slot
+        keys = np.random.default_rng([seed]).random((*self.shape[:2], model.next_index))
+
         def victims(key):
-            # the oldest, or the reference's own draw seeded by (seed, layer, head)
+            # the oldest, or the lowest-keyed
             if not randomized:
                 return eligible[key][:overflow[key]]
-            rng = np.random.default_rng([seed, *key])
-            drawn = rng.choice(len(eligible[key]), size=overflow[key], replace=False)
-            return [eligible[key][i] for i in drawn]
+            return sorted(eligible[key], key=lambda t: (keys[key][t], t))[:overflow[key]]
 
         evicted = {key: frozenset(victims(key)) for key in model.heads if overflow[key]}
         assert enforce_budget(self.cache, budget, rank) == sum(map(len, evicted.values()))

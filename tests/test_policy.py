@@ -334,6 +334,24 @@ class TestPlanRandom:
         plan = plan_random(1, 2, 40, all_live, EvictionBudget(6), 3)
         assert plan.head_set(0, 0) != plan.head_set(0, 1)
 
+    def test_every_eligible_slot_is_equally_likely(self):
+        # 2 heads evict 3 of the same 10 eligible slots under seeds (s, 5):
+        # each slot's inclusion frequency stays near 3/10, no ineligible slot
+        # is ever drawn, and the heads' draws are independent.
+        eligible = np.ones((1, 2, 14), dtype=bool)
+        eligible[:, :, [0, 5, 9, 13]] = False
+        counts = np.full((1, 2), 3)
+        included = np.zeros(eligible.shape, dtype=int)
+        heads_differ = 0
+        for s in range(2000):
+            picked = lowest_keyed(eligible, counts, random_victims((s, 5))(eligible, counts))
+            assert not (picked & ~eligible).any()
+            included += picked
+            heads_differ += bool((picked[0, 0] != picked[0, 1]).any())
+        frequency = included[eligible] / 2000
+        assert ((0.25 <= frequency) & (frequency <= 0.35)).all(), frequency
+        assert heads_differ >= 0.95 * 2000
+
 
 class TestH2O:
     def test_hand_accumulation_and_plan(self):
@@ -481,24 +499,49 @@ def reference_lowest_keyed(eligible, counts, keys):
     return picked
 
 
+def draw_keyed_heads(data):
+    """Up to 3x3 heads of width 0 to 12: a random eligible mask and tie-heavy keys."""
+    shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+             data.draw(st.integers(0, 12)))
+    size = int(np.prod(shape))
+    eligible = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                        dtype=bool).reshape(shape)
+    keys = np.array(data.draw(st.lists(st.sampled_from(TIED_KEYS), min_size=size,
+                                       max_size=size)), dtype=float).reshape(shape)
+    return eligible, keys
+
+
 class TestLowestKeyed:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(data=st.data())
     def test_matches_the_sorted_reference(self, data):
-        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
-                 data.draw(st.integers(0, 12)))
-        size = int(np.prod(shape))
-        eligible = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
-                            dtype=bool).reshape(shape)
-        keys = np.array(data.draw(st.lists(st.sampled_from(TIED_KEYS), min_size=size,
-                                           max_size=size)), dtype=float).reshape(shape)
+        eligible, keys = draw_keyed_heads(data)
         available = np.count_nonzero(eligible, axis=2)
         counts = np.array([data.draw(st.integers(0, int(limit))) for limit in available.flat],
-                          dtype=int).reshape(shape[:2])
+                          dtype=int).reshape(available.shape)
         picked = lowest_keyed(eligible, counts, keys)
         assert (picked == reference_lowest_keyed(eligible, counts, keys)).all()
         assert not (picked & ~eligible).any()
         assert (np.count_nonzero(picked, axis=2) == counts).all()
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_single_victims_match_the_sorted_reference(self, data):
+        # counts of 0 or 1 only, the argmin path, often with no head to evict
+        eligible, keys = draw_keyed_heads(data)
+        available = np.count_nonzero(eligible, axis=2)
+        counts = np.array([data.draw(st.integers(0, min(1, int(limit))))
+                           for limit in available.flat], dtype=int).reshape(available.shape)
+        picked = lowest_keyed(eligible, counts, keys)
+        assert (picked == reference_lowest_keyed(eligible, counts, keys)).all()
+        assert (np.count_nonzero(picked, axis=2) == counts).all()
+
+    @pytest.mark.parametrize("width", [0, 1, 5])
+    def test_no_head_with_a_count_picks_nothing(self, width):
+        eligible = np.ones((2, 3, width), dtype=bool)
+        picked = lowest_keyed(eligible, np.zeros((2, 3), dtype=int), np.zeros(eligible.shape))
+        assert picked.shape == eligible.shape
+        assert not picked.any()
 
     def test_ties_at_the_largest_key_never_reach_ineligible_slots(self):
         # Eligible slots all keyed at the largest finite float, with
@@ -512,6 +555,12 @@ class TestLowestKeyed:
         assert (picked == eligible).all()
         picked = lowest_keyed(eligible, np.array([[2, 1]]), keys)
         assert np.flatnonzero(picked[0, 0]).tolist() == [2, 4]
+        assert np.flatnonzero(picked[0, 1]).tolist() == [1]
+        picked = lowest_keyed(eligible, np.array([[1, 1]]), keys)
+        assert np.flatnonzero(picked[0, 0]).tolist() == [2]
+        assert np.flatnonzero(picked[0, 1]).tolist() == [1]
+        picked = lowest_keyed(eligible, np.array([[0, 1]]), keys)
+        assert not picked[0, 0].any()
         assert np.flatnonzero(picked[0, 1]).tolist() == [1]
 
 
