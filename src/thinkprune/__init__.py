@@ -2,7 +2,6 @@
 
 from .cache import (
     CacheBudget,
-    CacheStats,
     KvCacheState,
     ProtectedRegions,
     enforce_budget,

@@ -4,15 +4,13 @@ Keys and values sit in two arrays indexed by (layer, head, token position),
 and one boolean mask of the same leading shape says which entries are
 live. Eviction clears mask bits and never moves a vector, so every survivor
 keeps its original position and positional geometry is preserved. A cache
-is owned by a single decode loop; snapshots taken for reporting are plain
-immutable copies.
+is owned by a single decode loop; snapshots taken for reporting are
+copies.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -63,35 +61,15 @@ class CacheBudget:
         return cls(max_slots=max_slots, ratio=ratio)
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Snapshot of live occupancy across all (layer, head) slots."""
-
-    live_counts: Mapping[tuple[int, int], int]
-    average_live: float
-    peak_live: int
-    evicted_total: int
-
-    def to_report_dict(self, num_layers: int, num_heads: int) -> dict:
-        return {
-            "avg_kv": self.average_live,
-            "peak_kv": self.peak_live,
-            "evicted_total": self.evicted_total,
-            "per_layer": [
-                [self.live_counts[(layer, head)] for head in range(num_heads)]
-                for layer in range(num_layers)
-            ],
-        }
-
-
 class KvCacheState:
     """Key/value storage plus one live mask per (layer, head), for one decode loop.
 
     keys and values have shape (layers, heads, capacity, head_dim) and live
     has shape (layers, heads, capacity); position t holds token t. Capacity
     doubles whenever a write reaches it (see reserve), and only positions
-    below next_index can be live; the slot at next_index may hold a new
-    token's key/value before append commits them.
+    below next_index can be live. Each slot has one writer: the forward
+    writes a new token's key/value into the slot at next_index, and append
+    then commits that slot without touching its data.
     """
 
     def __init__(
@@ -160,19 +138,17 @@ class KvCacheState:
             self.values = np.pad(self.values, grow + ((0, 0),))
             self.live = np.pad(self.live, grow)
 
-    def append(self, token_index: int, keys: np.ndarray, values: np.ndarray) -> None:
-        """Commit one token's key/value vectors to every (layer, head).
+    def append(self, token_index: int) -> None:
+        """Commit the key/value already written to slot token_index in every
+        (layer, head): set its live bits and advance next_index.
 
-        keys and values have shape (num_layers, num_heads, head_dim); the
-        token index must be exactly the next unseen position.
+        The token index must be exactly the next unseen position.
         """
         if token_index != self.next_index:
             raise ValueError(
                 f"appends must be sequential: expected {self.next_index}, got {token_index}"
             )
         self.reserve(token_index)
-        self.keys[:, :, token_index] = keys
-        self.values[:, :, token_index] = values
         self.live[:, :, token_index] = True
         self.next_index += 1
 
@@ -229,15 +205,9 @@ class KvCacheState:
         self.next_index = min(self.next_index, start_index)
         return removed
 
-    def stats(self) -> CacheStats:
-        values = np.add.reduce(self.live, axis=2, dtype=np.intp).ravel().tolist()
-        live_counts = dict(zip(product(range(self.num_layers), range(self.num_heads)), values))
-        return CacheStats(
-            live_counts=live_counts,
-            average_live=sum(values) / len(values),
-            peak_live=max(values),
-            evicted_total=self.evicted_total,
-        )
+    def stats(self) -> np.ndarray:
+        """(layers, heads) count of live tokens per head."""
+        return np.add.reduce(self.live, axis=2, dtype=np.intp)
 
 
 def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> int:

@@ -75,6 +75,11 @@ class DecodeConfig:
         if self.recent_window > 0 and isinstance(self.budget, CacheBudget):
             raise ValueError("recent_window applies to periodic budgets; a CacheBudget "
                              "carries its own recent_window")
+        cap = self.budget
+        if isinstance(cap, CacheBudget) and cap.recent_window >= cap.max_slots:
+            # each capped append must find a victim outside the window before the token joins
+            raise ValueError(f"a CacheBudget's recent_window ({cap.recent_window}) "
+                             f"must be below max_slots ({cap.max_slots})")
         if self.policy is None:
             if self.budget is not None:
                 raise ValueError("a budget without a policy has no effect; drop one")
@@ -177,13 +182,14 @@ class RunRecord:
 
 
 def decode_step(state: KvCacheState, model: TinyDecoder, token_id: int, position: int) -> StepOutput:
-    """Forward one token over the live keys and commit its K/V to the cache.
+    """Forward one token over the live keys and commit the K/V slot the
+    forward wrote.
 
     Softmax runs only over live positions per (layer, head). Raises
     SequenceTooLong past the model's maximum length, before mutating.
     """
     out = model.forward_step(state, token_id, position)
-    state.append(position, out.keys, out.values)
+    state.append(position)
     return out
 
 
@@ -304,7 +310,7 @@ def probe_cycle(
         for offset, (pid, _text) in enumerate(probe_tokens):
             out = model.forward_step(state, pid, base + offset,
                                      outputs="rows" if offset == last else "kv")
-            state.append(base + offset, out.keys, out.values)
+            state.append(base + offset)
     finally:
         state.remove_suffix(base)
     record.ran_probe = True
@@ -382,6 +388,9 @@ def run(
         prompt_tokens = [(int(tid), str(text)) for tid, text in prompt]
     if not prompt_tokens:
         raise ValueError("the prompt must contain at least one token")
+    for i, (tid, _text) in enumerate(prompt_tokens):
+        if not 0 <= tid < cfg.vocab_size:
+            raise ValueError(f"prompt id {tid} at position {i} is outside [0, {cfg.vocab_size})")
 
     ratio_budget = config.budget if isinstance(config.budget, CacheBudget) else None
     periodic_budget = config.budget if isinstance(config.budget, EvictionBudget) else None
@@ -457,11 +466,11 @@ def run(
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:
                 on_probe(pre, state.live_sets(), record)
-        snapshot = state.stats()
+        counts = state.stats().ravel().tolist()
         occupancy.append([
             len(generated),
-            snapshot.average_live,
-            snapshot.peak_live,
+            sum(counts) / len(counts),
+            max(counts),
             state.live_nonprompt_count(0, 0),
         ])
         if on_step is not None:
@@ -472,12 +481,13 @@ def run(
     if reasoning_active:
         reason_len = len(generated)
     final = state.stats()
+    counts = final.ravel().tolist()
+    avg_kv, peak_kv = sum(counts) / len(counts), max(counts)
+    final_stats = {"avg_kv": avg_kv, "peak_kv": peak_kv,
+                   "evicted_total": state.evicted_total, "per_layer": final.tolist()}
     if occupancy:
         avg_kv = sum(row[1] for row in occupancy) / len(occupancy)
-        peak_kv = int(max(row[2] for row in occupancy))
-    else:
-        avg_kv = final.average_live
-        peak_kv = final.peak_live
+        peak_kv = max(row[2] for row in occupancy)
 
     if ratio_budget is not None:
         budget_info = {
@@ -501,7 +511,7 @@ def run(
         think_end_emitted=not reasoning_active,
         probe_records=records,
         occupancy=occupancy,
-        final_stats=final.to_report_dict(cfg.num_layers, cfg.num_heads),
+        final_stats=final_stats,
         avg_kv=avg_kv,
         peak_kv=peak_kv,
         evicted_total=state.evicted_total,

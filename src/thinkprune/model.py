@@ -117,8 +117,9 @@ class StepOutput:
     """Result of running one token through the decoder.
 
     A field the forward did not compute is None: logits unless outputs is
-    "logits", rows when outputs is "kv", keys and values without
-    include_new_kv.
+    "logits", rows when outputs is "kv". A joining token's key and value
+    are not returned: the forward writes them into the cache slot at
+    next_index, and append commits that slot.
     """
 
     logits: np.ndarray | None
@@ -126,10 +127,6 @@ class StepOutput:
     # is exactly 0.0 where token t is not live. width is next_index, plus
     # one for the token's own key when it joins.
     rows: np.ndarray | None
-    # the token's own (layers, heads, head_dim) key and value: views of the
-    # cache slot forward_step wrote them to, for append to commit
-    keys: np.ndarray | None
-    values: np.ndarray | None
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -248,16 +245,17 @@ class TinyDecoder:
         token's own key/value are written straight into that cache slot
         (growing the cache if it is full) and join the attention as its
         last column, but live and next_index change only when the caller
-        commits them with append. Without include_new_kv the token is
-        assumed to be (possibly partially) represented in the cache
-        already, and attention runs over the live entries alone.
+        commits the slot with append(position). Without include_new_kv the
+        token is assumed to be (possibly partially) represented in the
+        cache already, and attention runs over the live entries alone.
 
         outputs names what the caller reads, and the forward stops once it
         has it: "logits" runs every layer through to the logits; "rows"
         stops after the last layer's softmax; "kv" stops after writing the
-        last layer's key/value and skips that layer's attention. Fields not
-        computed are None (see StepOutput). "rows" and "kv" serve tokens
-        that join the cache, so they require include_new_kv.
+        last layer's key/value and skips that layer's attention, returning
+        neither logits nor rows. Fields not computed are None (see
+        StepOutput). "rows" and "kv" serve tokens that join the cache, so
+        they require include_new_kv.
         """
         if outputs not in ("logits", "rows", "kv"):
             raise ValueError(f'outputs must be "logits", "rows" or "kv", got {outputs!r}')
@@ -313,10 +311,7 @@ class TinyDecoder:
         logits = None
         if outputs == "logits":
             logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
-        if not include_new_kv:
-            return StepOutput(logits, rows, None, None)
-        return StepOutput(logits, None if outputs == "kv" else rows,
-                          cache.keys[:, :, n], cache.values[:, :, n])
+        return StepOutput(logits, None if outputs == "kv" else rows)
 
     # --- batch oracle path ----------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Shared builders for traces, score tensors, and randomized plan instances."""
+"""Shared builders for traces, score tensors, synthetic caches and randomized plan instances."""
 
 from __future__ import annotations
 
@@ -24,6 +24,15 @@ FILLER_WORDS = (
     "wait", "so", "now", "first", "okay", "number", "NowhereLand", "Solet",
     "Thensome", "value", "term", "Correctness", "Goodly",
 )
+
+
+def append_kv(state, index: int, keys: np.ndarray, values: np.ndarray) -> None:
+    """Write (layers, heads, head_dim) keys and values into slot index and
+    commit it, as a forward followed by KvCacheState.append does."""
+    state.reserve(index)
+    state.keys[:, :, index] = keys
+    state.values[:, :, index] = values
+    state.append(index)
 
 
 def make_trace(texts: list[str], prompt_len: int, ids: list[int] | None = None) -> ReasoningTrace:

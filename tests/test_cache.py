@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import append_kv
 
 from thinkprune.cache import (
     CacheBudget,
@@ -33,7 +34,7 @@ def fill_cache(num_layers, num_heads, head_dim, prompt_len, total, recent=0, see
     for i in range(total):
         keys = rng.standard_normal((num_layers, num_heads, head_dim))
         values = rng.standard_normal((num_layers, num_heads, head_dim))
-        state.append(i, keys, values)
+        append_kv(state, i, keys, values)
     return state
 
 
@@ -114,7 +115,7 @@ class TestApplyPlan:
         state = fill_cache(1, 1, 4, prompt_len=0, total=4)
         state.apply_plan(EvictionPlan(1, 1, {(0, 0): frozenset({2})}))
         with pytest.raises(ValueError):
-            state.append(2, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
+            state.append(2)
 
 
 class TestConservation:
@@ -140,7 +141,7 @@ class TestConservation:
         assert len(state.live_indices(0, 0)) == 5
         assert state.evicted_total == 0
         # the rolled-back positions are free for new appends
-        state.append(5, np.ones((1, 1, 4)), np.ones((1, 1, 4)))
+        state.append(5)
         assert state.live_indices(0, 0) == (0, 1, 2, 3, 4, 5)
 
     def test_remove_suffix_rejects_negative_start(self):
@@ -169,7 +170,7 @@ class TestEnforceBudget:
         assert np.flatnonzero(seen["eligible"][0, 0]).tolist() == [2, 3, 4, 5]
         assert seen["counts"].tolist() == [[1]]
         assert state.live_indices(0, 0) == (0, 1, 3, 4, 5, 6, 7, 8, 9)
-        state.append(10, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
+        state.append(10)
         assert state.live_nonprompt_count(0, 0) == 8
 
     def test_below_cap_appends_without_eviction(self):
@@ -293,10 +294,11 @@ class TestCompact:
 class TestStats:
     def test_fresh_cache(self):
         state = fill_cache(1, 2, 4, prompt_len=10, total=10)
-        stats = state.stats()
-        assert stats.average_live == 10
-        assert stats.peak_live == 10
-        assert stats.evicted_total == 0
+        counts = state.stats()
+        assert counts.tolist() == [[10, 10]]
+        assert counts.mean() == 10
+        assert counts.max() == 10
+        assert state.evicted_total == 0
 
     def test_uniform_eviction_average(self):
         state = fill_cache(2, 2, 4, prompt_len=0, total=20)
@@ -304,7 +306,7 @@ class TestStats:
             (l, h): frozenset({5, 6, 7}) for l in range(2) for h in range(2)
         }
         state.apply_plan(EvictionPlan(2, 2, evictions))
-        assert state.stats().average_live == 17
+        assert state.stats().mean() == 17
 
     def test_heterogeneous_counts_average_by_full_scan(self):
         state = fill_cache(2, 2, 4, prompt_len=0, total=16)
@@ -312,18 +314,21 @@ class TestStats:
             (0, 0): frozenset({1, 2}), (0, 1): frozenset({3, 4}),
             (1, 0): frozenset({5}), (1, 1): frozenset({6}),
         }))
-        stats = state.stats()
-        scan = [len(state.live_indices(l, h)) for l in range(2) for h in range(2)]
-        assert stats.average_live == sum(scan) / len(scan)
-        assert stats.peak_live == max(scan)
+        counts = state.stats()
+        scan = [[len(state.live_indices(l, h)) for h in range(2)] for l in range(2)]
+        assert counts.tolist() == scan
+        assert counts.mean() == sum(map(sum, scan)) / 4
+        assert counts.max() == max(map(max, scan))
 
-    def test_report_dict_shape(self):
+    def test_count_array_shape(self):
         state = fill_cache(1, 2, 4, prompt_len=2, total=5)
-        report = state.stats().to_report_dict(1, 2)
-        assert report["per_layer"] == [[5, 5]]
-        assert report["evicted_total"] == 0
-        assert report["avg_kv"] == 5.0
-        assert report["peak_kv"] == 5
+        counts = state.stats()
+        assert counts.shape == (1, 2)
+        assert counts.dtype == np.intp
+        assert counts.tolist() == [[5, 5]]
+        assert state.evicted_total == 0
+        assert counts.mean() == 5.0
+        assert counts.max() == 5
 
 
 class TestProtectedRegions:
@@ -340,7 +345,7 @@ class TestProtectedRegions:
     def test_recent_window_moves_with_appends(self):
         state = fill_cache(1, 1, 4, prompt_len=0, total=6, recent=2)
         assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3]
-        state.append(6, np.zeros((1, 1, 4)), np.zeros((1, 1, 4)))
+        state.append(6)
         assert np.flatnonzero(state.evictable()[0, 0]).tolist() == [0, 1, 2, 3, 4]
 
     def test_window_longer_than_the_sequence_leaves_nothing_evictable(self):

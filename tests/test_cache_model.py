@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import append_kv
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -91,7 +92,7 @@ class CacheMachine(RuleBasedStateMachine):
         for _ in range(count):
             keys, values = rng.standard_normal(self.shape), rng.standard_normal(self.shape)
             index = self.model.next_index
-            self.cache.append(index, keys, values)
+            append_kv(self.cache, index, keys, values)
             for (layer, head), entries in self.model.heads.items():
                 entries.append((index, keys[layer, head].copy(), values[layer, head].copy()))
             self.model.next_index += 1
@@ -99,8 +100,7 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(offset=st.sampled_from([-2, -1, 1, 5]))
     def append_out_of_order(self, offset):
-        zeros = np.zeros(self.shape)
-        expect_rejection(ValueError, lambda: self.cache.append(self.model.next_index + offset, zeros, zeros))
+        expect_rejection(ValueError, lambda: self.cache.append(self.model.next_index + offset))
 
     @rule(data=st.data(), valid=st.booleans())
     def apply_plan(self, data, valid):
@@ -191,11 +191,11 @@ class CacheMachine(RuleBasedStateMachine):
         for layer, head in model.heads:
             assert np.flatnonzero(evictable[layer, head]).tolist() == [
                 t for t in model.tokens((layer, head)) if not model.protected(t)]
-        stats = cache.stats()
-        assert dict(stats.live_counts) == counts
-        assert stats.average_live == sum(counts.values()) / len(counts)
-        assert stats.peak_live == max(counts.values())
-        assert stats.evicted_total == model.evicted_total
+        live_counts = cache.stats()
+        assert live_counts.shape == self.shape[:2]
+        assert {key: int(live_counts[key]) for key in counts} == counts
+        assert live_counts.mean() == sum(counts.values()) / len(counts)
+        assert live_counts.max() == max(counts.values())
 
 
 CacheMachine.TestCase.settings = settings(

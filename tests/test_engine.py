@@ -62,6 +62,38 @@ class TestDecodeConfig:
         make_config(policy=PolicyKind.HIERARCHICAL, budget=CacheBudget(max_slots=8))
         make_config(policy=PolicyKind.HIERARCHICAL, budget=EvictionBudget(2), recent_window=6)
 
+    @pytest.mark.parametrize("recent", [4, 5])
+    def test_cache_budget_window_must_leave_a_slot(self, recent):
+        # with the window as large as the cap, the first capped append had no
+        # victim outside the window and the run raised BudgetInfeasible
+        with pytest.raises(ValueError, match="must be below max_slots"):
+            make_config(policy=PolicyKind.STREAMING,
+                        budget=CacheBudget(max_slots=4, recent_window=recent))
+        make_config(policy=PolicyKind.STREAMING, budget=CacheBudget(max_slots=4, recent_window=3))
+
+
+class TestPromptIds:
+    """run checks every prompt id against the vocabulary before the first forward."""
+
+    @pytest.mark.parametrize("bad", [64, -1])
+    def test_out_of_vocabulary_id_is_rejected_before_any_forward(self, monkeypatch, bad):
+        forwards = []
+        original = TinyDecoder.forward_step
+
+        def counting(self, *args, **kwargs):
+            forwards.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TinyDecoder, "forward_step", counting)
+        with pytest.raises(ValueError, match=rf"prompt id {bad} at position 1 is outside \[0, 64\)"):
+            run(TinyModelConfig(), [(5, "a"), (bad, "b")], make_config(max_new=4))
+        assert forwards == []
+
+    @pytest.mark.parametrize("edge", [0, 63])
+    def test_ids_at_the_vocabulary_edges_run(self, edge):
+        record = run(TinyModelConfig(), [(5, "a"), (edge, "b")], make_config(max_new=4))
+        assert record.prompt_len == 2
+
 
 class TestNullPruning:
     def test_probing_with_zero_budget_matches_no_probes(self):

@@ -6,6 +6,7 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import append_kv
 
 from thinkprune.cache import KvCacheState, ProtectedRegions
 from thinkprune.engine import decode_step
@@ -168,12 +169,13 @@ class TestAttentionPaths:
         victim = 3
         state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
         for position, tid in enumerate(ids[:-1]):
-            out = model.forward_step(state, tid, position)
+            model.forward_step(state, tid, position)
+            keys = state.keys[:, :, position].copy()
             if position == victim:
                 for head in range(cfg.num_heads):
                     query = queries[head]
-                    out.keys[0, head] = -200.0 * query / np.linalg.norm(query)
-            state.append(position, out.keys, out.values)
+                    keys[0, head] = -200.0 * query / np.linalg.norm(query)
+            append_kv(state, position, keys, state.values[:, :, position].copy())
         kept = copy.deepcopy(state)
         out_kept = model.forward_step(kept, next_id, next_pos)
         for head in range(model.config.num_heads):
@@ -364,7 +366,9 @@ class TestOutputs:
         full = model.forward_step(full_state, 9, length)
         out = model.forward_step(state, 9, length, outputs=outputs)
         assert out.logits is None
-        assert _bitwise_equal(out.keys, full.keys) and _bitwise_equal(out.values, full.values)
+        # the new token's slot, then the whole cache
+        assert _bitwise_equal(state.keys[:, :, length], full_state.keys[:, :, length])
+        assert _bitwise_equal(state.values[:, :, length], full_state.values[:, :, length])
         if outputs == "rows":
             assert _bitwise_equal(out.rows, full.rows)
             assert (out.rows[0, 0, 2:4] == 0.0).all()
@@ -406,17 +410,26 @@ class TestInPlaceKv:
         keys = state.keys[:, :, :length].copy()
         values = state.values[:, :, :length].copy()
         evicted = state.evicted_total
-        out = model.forward_step(state, 9, length)
+        model.forward_step(state, 9, length)
         assert state.next_index == length
         assert state.evicted_total == evicted == 6
         assert (state.live[:, :, :length] == live).all()
         assert not state.live[:, :, length:].any()
         assert _bitwise_equal(state.keys[:, :, :length], keys)
         assert _bitwise_equal(state.values[:, :, :length], values)
-        # the new key is in the slot, and append commits exactly it
-        assert (state.keys[:, :, length] == out.keys).all()
-        state.append(length, out.keys, out.values)
-        assert state.is_live(0, 0, length)
+        # the new key and value are in the slot: layer 0's depend only on
+        # the token and its position
+        u = model._rms(model._w["embed"][9], model._w["layers.0.attn_norm"])
+        key = model._rope((u @ model._w["layers.0.wk"]).reshape(cfg.num_heads, cfg.head_dim), length)
+        value = (u @ model._w["layers.0.wv"]).reshape(cfg.num_heads, cfg.head_dim)
+        assert np.abs(state.keys[0, :, length] - key).max() < 1e-12
+        assert np.abs(state.values[0, :, length] - value).max() < 1e-12
+        # and append commits the slot without writing it
+        keys, values = state.keys[:, :, length].copy(), state.values[:, :, length].copy()
+        state.append(length)
+        assert state.is_live(0, 0, length) and state.next_index == length + 1
+        assert _bitwise_equal(state.keys[:, :, length], keys)
+        assert _bitwise_equal(state.values[:, :, length], values)
 
     @pytest.mark.parametrize("probe_at", [None, 50])
     def test_decode_and_probe_across_capacity_growth_match_reference(self, probe_at):
