@@ -350,12 +350,9 @@ def _score_histogram(record: RunRecord, bins: int = 10) -> list[tuple[float, flo
 
 
 def _first_evicted_step(probe) -> int | None:
-    if not probe.allocation:
-        return None
-    for _layer, allocs in probe.allocation:
-        if allocs:
-            return allocs[0][0]
-    return None
+    # each layer's first allocated step, -1 where the layer allocated none
+    firsts = [] if probe.allocation is None else probe.allocation["step"][:, :1].ravel().tolist()
+    return next((step for step in firsts if step >= 0), None)
 
 
 def cmd_report(args) -> int:
@@ -394,9 +391,9 @@ def cmd_report(args) -> int:
         lines.append(f"- end-of-run KV per (layer, head): {record.final_stats['avg_kv']:.3f}")
         lines.append(f"- peak KV: {record.peak_kv}")
         lines.append(f"- evicted entries: {record.evicted_total}")
-        for row in record.occupancy:
-            occupancy_rows.append([record.policy, str(int(row[0])), str(row[1]),
-                                   str(int(row[2])), str(int(row[3]))])
+        for step, avg_live, max_live, nonprompt_live in record.occupancy.tolist():
+            occupancy_rows.append([record.policy, str(step), str(avg_live),
+                                   str(max_live), str(nonprompt_live)])
         rounds = [probe for probe in record.probe_records]
         if rounds:
             lines += ["", "### Pruning rounds", "",

@@ -45,6 +45,13 @@ from .scoring import (
 from .trace import MarkerSet, ReasoningTrace, Segmentation, Token, default_marker_set, segment
 
 FULL_KV_NAME = "full"
+# one run record occupancy row per decode step
+OCCUPANCY = np.dtype([("step", np.intp), ("avg_live", np.float64), ("max_live", np.intp),
+                      ("nonprompt_live", np.intp)])
+# a probe round's step scores and allocation hold one row per layer of
+# (step id, value) entries, padded with step -1 to the longest layer's length
+STEP_SCORE = np.dtype([("step", np.intp), ("score", np.float64)])
+STEP_EVICTIONS = np.dtype([("step", np.intp), ("evictions", np.intp)])
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,14 @@ class DecodeConfig:
         return FULL_KV_NAME if self.policy is None else self.policy.value
 
 
-@dataclass
+@dataclass(eq=False)
 class ProbeRecord:
-    """What one probe-and-prune round saw and did."""
+    """What one probe-and-prune round saw and did.
+
+    The round's step scores, allocation and plan sizes are held as arrays
+    and its victims as per-head tuples, which are cheap to build and to
+    free; to_dict renders the record's JSON lists from them.
+    """
 
     round_index: int
     reasoning_tokens: int
@@ -101,10 +113,14 @@ class ProbeRecord:
     skipped: bool = False
     skip_reason: str | None = None
     scores: ScoreTensor | None = None
-    step_scores: list | None = None
-    allocation: list | None = None
+    # (layers, longest) STEP_SCORE entries, each layer's in step order
+    step_scores: np.ndarray | None = None
+    # (layers, longest) STEP_EVICTIONS entries, each layer's in the greedy order
+    allocation: np.ndarray | None = None
+    # [[layer, [a tuple of victim tokens per head]], ...]
     evicted: list | None = None
-    plan_sizes: list | None = None
+    # (layers, heads) victim counts
+    plan_sizes: np.ndarray | None = None
     evicted_total: int = 0
     dump: dict | None = None
 
@@ -115,6 +131,17 @@ class ProbeRecord:
             # [[layer, head, [[token, score], ...]], ...]
             data["scores"] = [[layer, head, [list(pair) for pair in pairs]]
                               for layer, head, pairs in self.scores]
+        for name in ("step_scores", "allocation"):
+            if data[name] is not None:
+                # [[layer, [[step, value], ...]], ...]
+                data[name] = [[layer, [list(entry) for entry in entries if entry[0] >= 0]]
+                              for layer, entries in enumerate(data[name].tolist())]
+        if self.evicted is not None:
+            data["evicted"] = [[layer, [list(tokens) for tokens in heads]]
+                               for layer, heads in self.evicted]
+        if self.plan_sizes is not None:
+            data["plan_sizes"] = [[layer, counts]
+                                  for layer, counts in enumerate(self.plan_sizes.tolist())]
         return data
 
     @classmethod
@@ -126,7 +153,33 @@ class ProbeRecord:
             data["scores"] = ScoreTensor(1 + max((layer for layer, _head in heads), default=-1),
                                          1 + max((head for _layer, head in heads), default=-1),
                                          heads)
+        for name, dtype in (("step_scores", STEP_SCORE), ("allocation", STEP_EVICTIONS)):
+            if data.get(name) is not None:
+                data[name] = _layer_rows([[tuple(entry) for entry in entries]
+                                          for entries in _by_layer(data[name])], dtype)
+        if data.get("evicted") is not None:
+            data["evicted"] = [[layer, [tuple(tokens) for tokens in heads]]
+                               for layer, heads in data["evicted"]]
+        if data.get("plan_sizes") is not None:
+            data["plan_sizes"] = np.array(_by_layer(data["plan_sizes"]), dtype=np.intp)
         return cls(**data)
+
+
+def _by_layer(entries: list) -> list:
+    """The parts of [[layer, part], ...], which must list layers 0, 1, ... in order."""
+    layers = [layer for layer, _part in entries]
+    if layers != list(range(len(layers))):
+        raise ValueError(f"per-layer entries list layers {layers}, not 0 to {len(layers) - 1}")
+    return [part for _layer, part in entries]
+
+
+def _layer_rows(by_layer: list, dtype: np.dtype) -> np.ndarray:
+    """Each layer's (step, value) entries as one row of a (layers, longest)
+    array, padded with step -1."""
+    rows = np.full((len(by_layer), max(map(len, by_layer), default=0)), -1, dtype=dtype)
+    for layer, entries in enumerate(by_layer):
+        rows[layer, :len(entries)] = entries
+    return rows
 
 
 @dataclass
@@ -137,7 +190,7 @@ class ProbeArtifacts:
     step_scores: StepScores
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Full log of one decode run."""
 
@@ -149,8 +202,9 @@ class RunRecord:
     reasoning_len: int
     think_end_emitted: bool
     probe_records: list[ProbeRecord]
-    # one row per decode step: [step, avg live per (layer, head), max live, non-prompt live]
-    occupancy: list[list[float]]
+    # one OCCUPANCY row per decode step: the step, average and maximum live
+    # slots per (layer, head), and head (0, 0)'s live non-prompt slots
+    occupancy: np.ndarray
     final_stats: dict
     avg_kv: float
     peak_kv: int
@@ -169,6 +223,7 @@ class RunRecord:
     def to_dict(self, include_timings: bool = False) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["probe_records"] = [rec.to_dict() for rec in self.probe_records]
+        data["occupancy"] = [list(row) for row in self.occupancy.tolist()]
         if not include_timings:
             del data["timings_ms"]
         return data
@@ -177,6 +232,9 @@ class RunRecord:
     def from_dict(cls, data: dict) -> "RunRecord":
         data = dict(data)
         data["probe_records"] = [ProbeRecord.from_dict(r) for r in data.get("probe_records", [])]
+        if "occupancy" in data:
+            data["occupancy"] = np.array([tuple(row) for row in data["occupancy"]],
+                                         dtype=OCCUPANCY)
         data.setdefault("timings_ms", {})
         return cls(**data)
 
@@ -202,23 +260,20 @@ def requery_logits(state: KvCacheState, model: TinyDecoder, token_id: int, posit
     return model.forward_step(state, token_id, position, include_new_kv=False).logits
 
 
-def _step_scores_to_lists(step_scores: StepScores) -> list:
-    return [
-        [layer, [[sid, value] for sid, value in step_scores.layer_entries(layer)]]
-        for layer in sorted(step_scores.by_layer)
-    ]
+def _plan_fields(plan: EvictionPlan) -> tuple[list, np.ndarray]:
+    """A plan as its record's evicted and plan_sizes fields."""
+    return ([[layer, [tuple(tokens) for tokens in heads]]
+             for layer, heads in enumerate(plan.head_lists())], plan.counts)
 
 
-def _plan_to_lists(plan: EvictionPlan) -> tuple[list, list]:
-    return ([[layer, heads] for layer, heads in enumerate(plan.head_lists())],
-            [[layer, counts] for layer, counts in enumerate(plan.counts.tolist())])
-
-
-def _allocation_to_lists(allocation) -> list:
-    return [
-        [layer, [[sid, count] for sid, count in allocation.layer_order(layer)]]
-        for layer in sorted(allocation.by_layer)
-    ]
+def kv_stats(state: KvCacheState) -> dict:
+    """Live slots per (layer, head): their average and maximum over every
+    (layer, head), the cache's eviction count, and the (layers, heads)
+    counts as nested lists. A run's occupancy rows and final_stats read it."""
+    counts = state.stats()
+    flat = counts.ravel().tolist()
+    return {"avg_kv": sum(flat) / len(flat), "peak_kv": max(flat),
+            "evicted_total": state.evicted_total, "per_layer": counts.tolist()}
 
 
 def _dense_dump(rows: np.ndarray, probe_position: int) -> dict:
@@ -260,6 +315,15 @@ def plan_round(
     raise ValueError(f"unknown policy {policy!r}")
 
 
+def _probe_tokens(probe: ProbeConfig, vocab_size: int) -> list[tuple[int, str]]:
+    """The probe's tokens, which must end with the probe's end-of-thinking id."""
+    tokens = tokenize(probe.prompt_text, vocab_size)
+    if tokens[-1][0] != probe.think_end_token_id:
+        raise ValueError(f"the probe prompt tokenizes to end with id {tokens[-1][0]}, "
+                         f"not the end-of-thinking id {probe.think_end_token_id}")
+    return tokens
+
+
 def probe_cycle(
     state: KvCacheState,
     model: TinyDecoder,
@@ -294,9 +358,7 @@ def probe_cycle(
         record.skip_reason = "post-reasoning"
         return record, None
 
-    probe_tokens = tokenize(probe.prompt_text, model.config.vocab_size)
-    if probe_tokens[-1][0] != probe.think_end_token_id:
-        raise ValueError("probe prompt does not tokenize to end with the end-of-thinking id")
+    probe_tokens = _probe_tokens(probe, model.config.vocab_size)
     base = len(trace.tokens)
     if base + len(probe_tokens) > model.config.max_seq_len:
         record.skipped = True
@@ -320,7 +382,8 @@ def probe_cycle(
     seg = segment(trace, markers)
     step_scores = aggregate_step_scores(scores, seg, eligible)
     record.scores = scores
-    record.step_scores = _step_scores_to_lists(step_scores)
+    record.step_scores = _layer_rows([list(step_scores.layer_entries(layer))
+                                      for layer in sorted(step_scores.by_layer)], STEP_SCORE)
     if keep_dump:
         record.dump = _dense_dump(out.rows, base + last)
     if budget is not None:
@@ -333,8 +396,10 @@ def probe_cycle(
                                       budget, (eviction_seed, round_index))
         record.evicted_total = state.apply_plan(plan)
         if allocation is not None:
-            record.allocation = _allocation_to_lists(allocation)
-        record.evicted, record.plan_sizes = _plan_to_lists(plan)
+            record.allocation = _layer_rows([list(allocation.layer_order(layer))
+                                             for layer in sorted(allocation.by_layer)],
+                                            STEP_EVICTIONS)
+        record.evicted, record.plan_sizes = _plan_fields(plan)
 
     leaked = np.argwhere(state.live[:, :, base:])
     if leaked.size:
@@ -391,6 +456,8 @@ def run(
     for i, (tid, _text) in enumerate(prompt_tokens):
         if not 0 <= tid < cfg.vocab_size:
             raise ValueError(f"prompt id {tid} at position {i} is outside [0, {cfg.vocab_size})")
+    # every run tracks the probe's end-of-thinking id, whether or not it probes
+    _probe_tokens(config.probe, cfg.vocab_size)
 
     ratio_budget = config.budget if isinstance(config.budget, CacheBudget) else None
     periodic_budget = config.budget if isinstance(config.budget, EvictionBudget) else None
@@ -409,18 +476,20 @@ def run(
 
     rng = np.random.default_rng(config.sampling_seed)
     timings = {"prefill_ms": 0.0, "decode_ms": 0.0, "probe_ms": 0.0}
-    tokens: list[Token] = []
 
     started = perf_counter()
-    logits = None
-    for i, (tid, text) in enumerate(prompt_tokens):
-        logits = decode_step(state, model, tid, i).logits
-        tokens.append(Token(i, tid, text))
+    # only the last prompt token's logits are read; the others only write K/V
+    last = len(prompt_tokens) - 1
+    for i, (tid, _text) in enumerate(prompt_tokens[:last]):
+        model.forward_step(state, tid, i, outputs="kv")
+        state.append(i)
+    logits = decode_step(state, model, prompt_tokens[last][0], last).logits
+    tokens: list[Token] = [Token(i, tid, text) for i, (tid, text) in enumerate(prompt_tokens)]
     timings["prefill_ms"] = (perf_counter() - started) * 1e3
 
     generated: list[int] = []
     records: list[ProbeRecord] = []
-    occupancy: list[list[float]] = []
+    occupancy: list[tuple[int, float, int, int]] = []
     reasoning_active = True
     reason_len: int | None = None
 
@@ -466,13 +535,9 @@ def run(
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:
                 on_probe(pre, state.live_sets(), record)
-        counts = state.stats().ravel().tolist()
-        occupancy.append([
-            len(generated),
-            sum(counts) / len(counts),
-            max(counts),
-            state.live_nonprompt_count(0, 0),
-        ])
+        stats = kv_stats(state)
+        occupancy.append((len(generated), stats["avg_kv"], stats["peak_kv"],
+                          state.live_nonprompt_count(0, 0)))
         if on_step is not None:
             on_step(len(generated), state)
         if next_id == EOS_ID:
@@ -480,11 +545,8 @@ def run(
 
     if reasoning_active:
         reason_len = len(generated)
-    final = state.stats()
-    counts = final.ravel().tolist()
-    avg_kv, peak_kv = sum(counts) / len(counts), max(counts)
-    final_stats = {"avg_kv": avg_kv, "peak_kv": peak_kv,
-                   "evicted_total": state.evicted_total, "per_layer": final.tolist()}
+    final_stats = kv_stats(state)
+    avg_kv, peak_kv = final_stats["avg_kv"], final_stats["peak_kv"]
     if occupancy:
         avg_kv = sum(row[1] for row in occupancy) / len(occupancy)
         peak_kv = max(row[2] for row in occupancy)
@@ -510,7 +572,7 @@ def run(
         reasoning_len=reason_len,
         think_end_emitted=not reasoning_active,
         probe_records=records,
-        occupancy=occupancy,
+        occupancy=np.array(occupancy, dtype=OCCUPANCY),
         final_stats=final_stats,
         avg_kv=avg_kv,
         peak_kv=peak_kv,

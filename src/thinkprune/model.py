@@ -135,6 +135,27 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, x, x * e) / (1.0 + e)
 
 
+def _silu_of_double(g: np.ndarray) -> np.ndarray:
+    """silu(2g) as g + g tanh(g), since x sigmoid(x) = x/2 (1 + tanh(x/2)).
+
+    Three calls, and tanh cannot overflow; forward_step folds the 1/2 into
+    its RMS scale."""
+    t = np.tanh(g)
+    t *= g
+    t += g
+    return t
+
+
+def _inv_rms(x: np.ndarray) -> float:
+    """1 / sqrt(mean(x^2) + eps) for one vector, as a Python float."""
+    return 1.0 / math.sqrt(float(x @ x) / x.shape[0] + _RMS_EPS)
+
+
+def _normed(x: np.ndarray) -> np.ndarray:
+    """x scaled to unit RMS; the norm's gain lives in the weights it feeds."""
+    return x * _inv_rms(x)
+
+
 class TinyDecoder:
     """Deterministic numpy decoder; weights fully determined by the config seed."""
 
@@ -166,27 +187,36 @@ class TinyDecoder:
         self._w = {name: arr.astype(np.float64) for name, arr in self._weights32.items()}
         half = cfg.head_dim // 2
         self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
-        # forward_step's working set: one tuple per layer with wq|wk|wv fused
-        # into one (d, 3d) matrix, and rotary tables for every position, laid
-        # out so that rotating is x * cos + (x with its halves swapped) * sin
+        # forward_step's working set, with the per-model constants folded in:
+        # one tuple per layer whose (d, 3d) wq|wk|wv matrix carries the
+        # attn_norm gain on its rows and 1/sqrt(head_dim) on its q columns,
+        # the unembedding with the final_norm gain on its rows, layer 0's
+        # Q/K/V per token id, and one rotation matrix per position
         w = self._w
-        self._layers = tuple(
-            (
-                w[f"layers.{layer}.attn_norm"],
-                np.concatenate([w[f"layers.{layer}.w{p}"] for p in "qkv"], axis=1),
-                w[f"layers.{layer}.wo"],
-                w[f"layers.{layer}.mlp_norm"],
-                w[f"layers.{layer}.mlp_in"],
-                w[f"layers.{layer}.mlp_out"],
-            )
-            for layer in range(cfg.num_layers)
-        )
+        blocks = []
+        for layer in range(cfg.num_layers):
+            wqkv = np.concatenate([w[f"layers.{layer}.w{p}"] for p in "qkv"], axis=1)
+            wqkv *= w[f"layers.{layer}.attn_norm"][:, None]
+            wqkv[:, :cfg.model_dim] *= 1.0 / math.sqrt(cfg.head_dim)
+            blocks.append((wqkv, w[f"layers.{layer}.wo"], w[f"layers.{layer}.mlp_norm"],
+                           w[f"layers.{layer}.mlp_in"], w[f"layers.{layer}.mlp_out"]))
+        self._blocks = tuple(blocks)
+        self._unembed = w["final_norm"][:, None] * w["unembed"]
+        # layer 0's input is the embedding row, so its Q/K/V depend on the id
+        # alone; each row is the product forward_step computes at later layers
+        wqkv0 = blocks[0][0]
+        self._layer0_qkv = np.stack([_normed(x) @ wqkv0 for x in w["embed"]])
+        # v @ rotation[p] is _rope(v, p): the halves (x1, x2) of v become
+        # (x1 cos - x2 sin, x2 cos + x1 sin)
         angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
         cos, sin = np.cos(angles), np.sin(angles)
-        self._rope_cos = np.concatenate([cos, cos], axis=1)
-        # (position, 2, head_dim / 2): -sin scales the second half moved to
-        # the front, sin the first half moved to the back
-        self._rope_sin = np.stack([-sin, sin], axis=1)
+        first, second = np.arange(half), np.arange(half, cfg.head_dim)
+        rotation = np.zeros((cfg.max_seq_len, cfg.head_dim, cfg.head_dim))
+        rotation[:, first, first] = cos
+        rotation[:, second, second] = cos
+        rotation[:, second, first] = -sin
+        rotation[:, first, second] = sin
+        self._rotation = rotation
 
     def weight_names(self) -> list[str]:
         return list(self._weights32)
@@ -216,15 +246,6 @@ class TinyDecoder:
         x1 = heads[..., :half]
         x2 = heads[..., half:]
         return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
-
-    def _rope_at(self, heads: np.ndarray, position: int) -> np.ndarray:
-        """_rope for one position, from the tables: x1 cos - x2 sin, x2 cos + x1 sin.
-
-        The halves swap through a reversed (2, head_dim / 2) view of each
-        vector, so no index array is gathered."""
-        count = heads.shape[0]
-        swapped = heads.reshape(count, 2, -1)[:, ::-1] * self._rope_sin[position]
-        return heads * self._rope_cos[position] + swapped.reshape(heads.shape)
 
     # --- incremental path ---------------------------------------------------
 
@@ -279,15 +300,19 @@ class TinyDecoder:
         width = n + 1 if include_new_kv else n
         dead = ~cache.live[:, :, :n]
         rows = np.empty((cfg.num_layers, num_heads, width))
-        inv_scale = 1.0 / math.sqrt(head_dim)
+        rotation = self._rotation[position]
         # the layer after whose K/V write ("kv") or softmax ("rows") the forward stops
         last = cfg.num_layers - 1
         stop_at_kv = last if outputs == "kv" else -1
         stop_at_rows = last if outputs == "rows" else -1
         x = self._w["embed"][token_id]
-        for layer, (attn_norm, wqkv, wo, mlp_norm, mlp_in, mlp_out) in enumerate(self._layers):
-            qkv = (self._rms(x, attn_norm) @ wqkv).reshape(3 * num_heads, head_dim)
-            qk = self._rope_at(qkv[:2 * num_heads], position)
+        qkv = self._layer0_qkv[token_id]
+        for layer, (wqkv, wo, mlp_norm, mlp_in, mlp_out) in enumerate(self._blocks):
+            if layer:
+                qkv = _normed(x) @ wqkv
+            qkv = qkv.reshape(3 * num_heads, head_dim)
+            # q and k rotate in one product; q already carries 1/sqrt(head_dim)
+            qk = qkv[:2 * num_heads] @ rotation
             keys = cache.keys[layer, :, :width]
             values = cache.values[layer, :, :width]
             if include_new_kv:
@@ -298,19 +323,20 @@ class TinyDecoder:
             if layer == stop_at_kv:
                 break
             weights = rows[layer]
-            np.multiply((keys @ qk[:num_heads, :, None])[:, :, 0], inv_scale, out=weights)
+            np.matmul(keys, qk[:num_heads, :, None], out=weights[:, :, None])
             np.copyto(weights[:, :n], -np.inf, where=dead[layer])
-            weights -= weights.max(axis=1, keepdims=True)
+            weights -= np.maximum.reduce(weights, axis=1, keepdims=True)
             np.exp(weights, out=weights)
-            weights /= weights.sum(axis=1, keepdims=True)
+            weights /= np.add.reduce(weights, axis=1, keepdims=True)
             if layer == stop_at_rows:
                 break
-            attn_out = (weights[:, None, :] @ values)[:, 0, :]
-            x = x + attn_out.reshape(cfg.model_dim) @ wo
-            x = x + _silu(self._rms(x, mlp_norm) @ mlp_in) @ mlp_out
+            x = x + (weights[:, None, :] @ values).reshape(cfg.model_dim) @ wo
+            # the MLP input is norm(x) / 2, so silu(h) = g + g tanh(g) with g = h / 2
+            g = (x * (0.5 * _inv_rms(x)) * mlp_norm) @ mlp_in
+            x = x + _silu_of_double(g) @ mlp_out
         logits = None
         if outputs == "logits":
-            logits = self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
+            logits = _normed(x) @ self._unembed
         return StepOutput(logits, None if outputs == "kv" else rows)
 
     # --- batch oracle path ----------------------------------------------------

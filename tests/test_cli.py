@@ -379,7 +379,7 @@ class TestRoundTripFidelity:
                      str(out / "scores.json"), "--policy", policy.value, "--budget", "3",
                      "--out", str(out)]) == EXIT_OK
         cli_plan = json.loads((out / "plan.json").read_text())
-        engine_evicted = {layer: heads for layer, heads in first.evicted}
+        engine_evicted = {layer: heads for layer, heads in first.to_dict()["evicted"]}
         assert sum(len(head) for heads in engine_evicted.values() for head in heads) > 0
         for layer, layer_entry in enumerate(cli_plan["layers"]):
             assert layer_entry["heads"] == engine_evicted[layer]

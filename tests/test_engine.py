@@ -14,6 +14,7 @@ from thinkprune.cache import CacheBudget, KvCacheState, ProtectedRegions
 from thinkprune.engine import (
     DecodeConfig,
     decode_step,
+    kv_stats,
     probe_cycle,
     requery_logits,
     run,
@@ -77,14 +78,7 @@ class TestPromptIds:
 
     @pytest.mark.parametrize("bad", [64, -1])
     def test_out_of_vocabulary_id_is_rejected_before_any_forward(self, monkeypatch, bad):
-        forwards = []
-        original = TinyDecoder.forward_step
-
-        def counting(self, *args, **kwargs):
-            forwards.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(TinyDecoder, "forward_step", counting)
+        forwards = count_forwards(monkeypatch)
         with pytest.raises(ValueError, match=rf"prompt id {bad} at position 1 is outside \[0, 64\)"):
             run(TinyModelConfig(), [(5, "a"), (bad, "b")], make_config(max_new=4))
         assert forwards == []
@@ -93,6 +87,126 @@ class TestPromptIds:
     def test_ids_at_the_vocabulary_edges_run(self, edge):
         record = run(TinyModelConfig(), [(5, "a"), (edge, "b")], make_config(max_new=4))
         assert record.prompt_len == 2
+
+
+def count_forwards(monkeypatch) -> list:
+    """Patch TinyDecoder.forward_step to record each call's arguments."""
+    forwards = []
+    original = TinyDecoder.forward_step
+
+    def counting(self, *args, **kwargs):
+        forwards.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TinyDecoder, "forward_step", counting)
+    return forwards
+
+
+class TestProbeIds:
+    """run checks that the probe ends with its end-of-thinking id before the first forward."""
+
+    @pytest.mark.parametrize("policy", [None, PolicyKind.HIERARCHICAL], ids=["full", "ours"])
+    def test_mismatched_end_of_thinking_id_is_rejected_before_any_forward(self, monkeypatch,
+                                                                           policy):
+        forwards = count_forwards(monkeypatch)
+        config = DecodeConfig(max_new_tokens=20,
+                              probe=default_probe(think_end_token_id=5, interval_p=8),
+                              policy=policy, budget=None if policy is None else EvictionBudget(2))
+        with pytest.raises(ValueError, match=rf"tokenizes to end with id {THINK_END_ID}, "
+                                             "not the end-of-thinking id 5"):
+            run(TinyModelConfig(), PROMPT, config)
+        assert forwards == []
+
+    def test_matching_id_runs(self, monkeypatch):
+        forwards = count_forwards(monkeypatch)
+        record = run(TinyModelConfig(), PROMPT, make_config(policy=PolicyKind.HIERARCHICAL,
+                                                            budget=EvictionBudget(2), max_new=8))
+        first = record.probe_records[0]
+        assert first.ran_probe
+        # prompt, decode, probe, and the requery after an evicting round
+        assert len(forwards) == record.prompt_len + 8 + 25 + (first.evicted_total > 0)
+
+
+class TestPrefill:
+    def test_only_the_last_prompt_token_computes_logits(self, monkeypatch):
+        forwards = []
+        original = TinyDecoder.forward_step
+
+        def spy(self, cache, token_id, position, **kwargs):
+            forwards.append((position, kwargs.get("outputs", "logits")))
+            return original(self, cache, token_id, position, **kwargs)
+
+        monkeypatch.setattr(TinyDecoder, "forward_step", spy)
+        decoded = []
+        decode = engine.decode_step
+
+        def decode_spy(state, model, token_id, position):
+            decoded.append(position)
+            return decode(state, model, token_id, position)
+
+        monkeypatch.setattr(engine, "decode_step", decode_spy)
+        record = run(TinyModelConfig(rng_seed=2), PROMPT, make_config(max_new=3))
+        p = record.prompt_len
+        assert forwards[:p] == [(i, "kv") for i in range(p - 1)] + [(p - 1, "logits")]
+        assert decoded == list(range(p - 1, p + 3))
+        # the same tokens as a prefill that computes every logit
+        state = KvCacheState(2, 2, 16, ProtectedRegions(p, 0))
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        for i, (tid, _text) in enumerate(tokenize(PROMPT, 64)):
+            logits = decode(state, model, tid, i).logits
+        assert record.generated_ids[0] == int(np.argmax(logits))
+
+
+class TestKvStats:
+    """Occupancy rows and final_stats come from kv_stats, checked here on
+    caches whose heads hold different live counts."""
+
+    @staticmethod
+    def uneven_cache() -> KvCacheState:
+        # per-head plans, then a suffix removal: live counts [[1, 0], [2, 3]]
+        state = KvCacheState(2, 2, 4, ProtectedRegions(0, 0))
+        for index in range(4):
+            state.reserve(index)
+            state.append(index)
+        state.apply_plan(EvictionPlan(2, 2, {(0, 0): [1, 2, 3], (0, 1): [0, 1, 2],
+                                             (1, 0): [0], (1, 1): [3]}))
+        state.remove_suffix(3)
+        return state
+
+    def test_uneven_heads(self):
+        state = self.uneven_cache()
+        assert state.live_sets() == {(0, 0): frozenset({0}), (0, 1): frozenset(),
+                                     (1, 0): frozenset({1, 2}), (1, 1): frozenset({0, 1, 2})}
+        stats = kv_stats(state)
+        assert stats == {"avg_kv": 1.5, "peak_kv": 3, "evicted_total": 8,
+                         "per_layer": [[1, 0], [2, 3]]}
+        assert list(stats) == ["avg_kv", "peak_kv", "evicted_total", "per_layer"]
+        assert [type(stats[key]) for key in ("avg_kv", "peak_kv", "evicted_total")] == \
+            [float, int, int]
+
+    def test_run_rows_and_final_stats_follow_uneven_heads(self):
+        # on_step clears one live bit of head (0, 1), so every later row and
+        # the final stats see heads with different counts
+        model = TinyModelConfig(rng_seed=1)
+
+        def on_step(step, state):
+            if step == 3:
+                state.live[0, 1, 2] = False
+
+        record = run(model, PROMPT, make_config(max_new=6), on_step=on_step)
+        rows = record.to_dict()["occupancy"]
+        prompt_len = record.prompt_len
+        for step, avg_live, max_live, nonprompt in rows:
+            full = prompt_len + step
+            if step <= 3:
+                assert (avg_live, max_live) == (float(full), full)
+            else:
+                assert (avg_live, max_live) == (full - 1 / 4, full)
+            assert nonprompt == step
+        assert record.final_stats["per_layer"] == [[prompt_len + 6, prompt_len + 5],
+                                                   [prompt_len + 6, prompt_len + 6]]
+        assert record.final_stats["avg_kv"] == prompt_len + 6 - 1 / 4
+        assert record.final_stats["peak_kv"] == prompt_len + 6
 
 
 class TestNullPruning:
@@ -104,7 +218,7 @@ class TestNullPruning:
         assert probed.generated_ids == full.generated_ids
         assert probed.evicted_total == 0
         assert probed.probe_rounds > 0
-        assert probed.occupancy == full.occupancy
+        assert np.array_equal(probed.occupancy, full.occupancy)
 
     def test_null_pruning_holds_under_sampling(self):
         cfg = TinyModelConfig(rng_seed=4)
@@ -606,7 +720,7 @@ class TestRatioMode:
         )
         assert ours.probe_rounds == 0
         assert ours.evicted_total > 0
-        assert ours.occupancy == streaming.occupancy
+        assert np.array_equal(ours.occupancy, streaming.occupancy)
         assert ours.generated_ids == streaming.generated_ids
 
 
@@ -665,6 +779,30 @@ class TestRunRecord:
             assert (again.scores.num_layers, again.scores.num_heads) == (
                 original.scores.num_layers, original.scores.num_heads)
             assert sum(len(pairs) for _l, _h, pairs in again.scores) > 0
+
+    def test_layers_of_different_lengths_render_without_padding(self):
+        from thinkprune.engine import STEP_EVICTIONS, STEP_SCORE, ProbeRecord
+
+        data = {"round_index": 0, "reasoning_tokens": 6, "ran_probe": True,
+                "step_scores": [[0, [[0, 0.5], [1, 0.25], [2, 0.125]]], [1, [[1, 0.75]]]],
+                "allocation": [[0, [[2, 1], [0, 2]]], [1, []]],
+                "evicted": [[0, [[1, 4, 5], [1, 2, 5]]], [1, [[], []]]],
+                "plan_sizes": [[0, [3, 3]], [1, [0, 0]]]}
+        record = ProbeRecord.from_dict(data)
+        assert record.step_scores.dtype == STEP_SCORE and record.step_scores.shape == (2, 3)
+        assert record.allocation.dtype == STEP_EVICTIONS and record.allocation.shape == (2, 2)
+        assert record.evicted[0][1] == [(1, 4, 5), (1, 2, 5)]
+        assert record.plan_sizes.tolist() == [[3, 3], [0, 0]]
+        assert {key: record.to_dict()[key] for key in data} == data
+
+    @pytest.mark.parametrize("field", ["step_scores", "allocation", "plan_sizes"])
+    def test_layers_out_of_order_are_rejected(self, field):
+        from thinkprune.engine import ProbeRecord
+
+        entries = {"step_scores": [[0, 0.5]], "allocation": [[1, 1]], "plan_sizes": [1]}[field]
+        with pytest.raises(ValueError, match=r"list layers \[1, 0\]"):
+            ProbeRecord.from_dict({"round_index": 0, "reasoning_tokens": 1,
+                                   field: [[1, entries], [0, entries]]})
 
     def test_timings_excluded_from_canonical_form(self):
         cfg = TinyModelConfig(rng_seed=6)

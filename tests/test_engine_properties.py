@@ -98,8 +98,10 @@ def test_every_step_matches_a_scan_of_the_live_sets(case):
 
     record = run(model, prompt, config, on_step=on_step, on_probe=on_probe)
 
-    assert len(record.occupancy) == len(scans) == len(record.generated_ids)
-    for step, (row, live) in enumerate(zip(record.occupancy, scans), start=1):
+    # the rows as the record's JSON holds them
+    occupancy = record.to_dict()["occupancy"]
+    assert len(occupancy) == len(scans) == len(record.generated_ids)
+    for step, (row, live) in enumerate(zip(occupancy, scans), start=1):
         counts = scan_counts(live)
         nonprompt = sum(1 for t in live[(0, 0)] if t >= prompt_len)
         assert row == [step, sum(counts) / len(counts), max(counts), nonprompt]

@@ -296,9 +296,8 @@ def _numeric_cases(seed=0, count=300):
 
 
 class TestStepNumerics:
-    """forward_step's rewritten numerics give the same bits as the formulas they replace."""
-
-    BENCH_SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16)
+    """The numerics reference_forward uses give the same bits as the formulas
+    they replaced, and forward_step's tanh SiLU stays within its error bound."""
 
     def test_silu_matches_old_formula_bitwise(self):
         from thinkprune.model import _silu
@@ -316,30 +315,121 @@ class TestStepNumerics:
             rows = np.stack([x, -x, 2.0 * x])
             assert _bitwise_equal(model._rms(rows, gain), _rms_old(rows, gain))
 
-    def test_rope_tables_match_rope_at_every_position(self):
+    def test_tanh_silu_matches_silu_within_its_bound(self):
+        from thinkprune.model import _silu, _silu_of_double
+
+        eps = np.finfo(float).eps
+        for x in _numeric_cases():
+            err = np.abs(_silu_of_double(x / 2) - _silu(x))
+            assert (err <= 2 * eps * np.maximum(1.0, np.abs(x))).all()
+
+
+class TestTables:
+    """The tables forward_step reads equal the products they replace."""
+
+    BENCH_SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16)
+
+    @staticmethod
+    def _with_gains(config, seed=0):
+        # every norm gain differs from 1, so folding a gain is not a no-op
+        model = TinyDecoder(config)
+        rng = np.random.default_rng(seed)
+        for name, weight in model._weights32.items():
+            if name.endswith("norm"):
+                model._weights32[name] = rng.uniform(0.5, 1.5, weight.shape).astype(np.float32)
+        model._refresh_working_copies()
+        return model
+
+    def test_rotation_table_matches_rope_at_every_position(self):
         model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=512))
         cfg = model.config
         heads = np.random.default_rng(3).standard_normal((2 * cfg.num_heads, cfg.head_dim))
+        assert model._rotation.shape == (cfg.max_seq_len, cfg.head_dim, cfg.head_dim)
         for position in range(cfg.max_seq_len):
-            assert _bitwise_equal(model._rope_at(heads, position), model._rope(heads, position))
+            want = model._rope(heads, position)
+            assert np.abs(heads @ model._rotation[position] - want).max() <= 1e-15
 
-    def test_fused_projection_matches_separate_products(self):
-        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE))
+    def test_folded_products_match_the_unfolded_ones(self):
+        from thinkprune.model import _inv_rms, _normed
+
+        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE))
+        cfg, w = model.config, model._w
+        inv_scale = 1.0 / np.sqrt(cfg.head_dim)
         rng = np.random.default_rng(4)
-        for layer, (_norm, wqkv, *_rest) in enumerate(model._layers):
-            separate = [model._w[f"layers.{layer}.w{p}"] for p in "qkv"]
-            for _ in range(200):
-                u = rng.standard_normal(model.config.model_dim)
-                assert _bitwise_equal(u @ wqkv, np.concatenate([u @ w for w in separate]))
 
-    def test_loaded_weights_rebuild_the_fused_matrices(self, tmp_path):
-        model = TinyDecoder(TinyModelConfig(rng_seed=1))
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+        for _ in range(50):
+            x = rng.standard_normal(cfg.model_dim) * 10.0 ** rng.uniform(-3, 3)
+            for layer, (wqkv, _wo, mlp_norm, mlp_in, _out) in enumerate(model._blocks):
+                u = model._rms(x, w[f"layers.{layer}.attn_norm"])
+                q, k, v = (u @ w[f"layers.{layer}.w{p}"] for p in "qkv")
+                assert close(_normed(x) @ wqkv, np.concatenate([q * inv_scale, k, v]))
+                half = (x * (0.5 * _inv_rms(x)) * mlp_norm) @ mlp_in
+                assert close(half, model._rms(x, w[f"layers.{layer}.mlp_norm"]) @ mlp_in / 2)
+            assert close(_normed(x) @ model._unembed, model._rms(x, w["final_norm"]) @ w["unembed"])
+
+    def test_layer0_table_rows_equal_layer_0_of_the_forward(self):
+        from thinkprune.model import _normed
+
+        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=80), seed=1)
+        cfg = model.config
+        wqkv = model._blocks[0][0]
+        assert model._layer0_qkv.shape == (cfg.vocab_size, 3 * cfg.model_dim)
+        for token in range(cfg.vocab_size):
+            # what the forward computes at every later layer, given layer 0's input
+            assert _bitwise_equal(model._layer0_qkv[token], _normed(model._w["embed"][token]) @ wqkv)
+        # and a forward writes layer 0's key and value from the table
+        state, _ = _decode_sequence(model, [10, 21, 7], prompt_len=1)
+        model.forward_step(state, 9, 3, outputs="kv")
+        qkv = model._layer0_qkv[9].reshape(3 * cfg.num_heads, cfg.head_dim)
+        rotated = qkv[:2 * cfg.num_heads] @ model._rotation[3]
+        assert _bitwise_equal(state.keys[0, :, 3], rotated[cfg.num_heads:])
+        assert _bitwise_equal(state.values[0, :, 3], qkv[2 * cfg.num_heads:])
+
+    def test_load_rebuilds_every_table(self, tmp_path):
+        config = TinyModelConfig(rng_seed=1, max_seq_len=40)
+        model = self._with_gains(config, seed=2)
         model._weights32["layers.1.wk"] = np.ones_like(model._weights32["layers.1.wk"])
+        model._weights32["embed"][3] *= 2
+        model._refresh_working_copies()
         path = tmp_path / "model.bin"
         model.save(path)
         loaded = TinyDecoder.load(path)
-        d = loaded.config.model_dim
-        assert (loaded._layers[1][1][:, d:2 * d] == 1.0).all()
+        fresh = TinyDecoder(config)
+        tables = ("_layer0_qkv", "_unembed", "_rotation")
+        for name in tables:
+            assert _bitwise_equal(getattr(loaded, name), getattr(model, name))
+        for got, want, default in zip(loaded._blocks, model._blocks, fresh._blocks):
+            assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
+            assert not _bitwise_equal(got[0], default[0])
+        assert not _bitwise_equal(loaded._layer0_qkv, fresh._layer0_qkv)
+        assert not _bitwise_equal(loaded._unembed, fresh._unembed)
+
+    def test_forward_matches_reference_at_every_width_with_dead_columns(self):
+        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=400), seed=3)
+        cfg = model.config
+        ids = np.random.default_rng(7).integers(NUM_RESERVED_IDS, cfg.vocab_size, 400).tolist()
+        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(4, 0))
+        masks = np.zeros((cfg.num_layers, cfg.num_heads, len(ids), len(ids)), dtype=bool)
+        rng = np.random.default_rng(8)
+        logits = []
+        for position, tid in enumerate(ids):
+            if position >= 8 and position % 16 == 0:
+                # a different victim per (layer, head), so columns die unevenly
+                state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
+                    (layer, head): frozenset({int(rng.choice(state.live_indices(layer, head)[4:]))})
+                    for layer in range(cfg.num_layers) for head in range(cfg.num_heads)
+                }))
+            for (layer, head), live in state.live_sets().items():
+                masks[layer, head, position, list(live)] = True
+            masks[:, :, position, position] = True
+            logits.append(decode_step(state, model, tid, position).logits)
+        assert not state.live[:, :, :len(ids)].all()
+        ref = model.reference_forward(ids, key_mask=masks)
+        err = np.abs(np.stack(logits) - ref).max(axis=1) / np.maximum(1.0, np.abs(ref).max(axis=1))
+        assert err.max() <= 1e-12
 
 
 class TestOutputs:

@@ -17,7 +17,7 @@ from conftest import (
     tensor_from_dict,
 )
 
-from thinkprune.engine import _plan_to_lists
+from thinkprune.engine import ProbeRecord, _plan_fields
 from thinkprune.errors import BudgetExceedsStep
 from thinkprune.policy import (
     EvictionBudget,
@@ -306,8 +306,10 @@ class TestEvictionPlanType:
             assert plan.total() == sum(len(tokens) for tokens in evicted.values())
             assert plan_to_dict(plan) == {"layers": [{"heads": h} for h in heads],
                                           "allocation": None}
-            assert _plan_to_lists(plan) == ([[layer, h] for layer, h in enumerate(heads)],
-                                            [[layer, n] for layer, n in enumerate(sizes)])
+            evicted_lists, counts = _plan_fields(plan)
+            record = ProbeRecord(0, 0, evicted=evicted_lists, plan_sizes=counts).to_dict()
+            assert record["evicted"] == [[layer, h] for layer, h in enumerate(heads)]
+            assert record["plan_sizes"] == [[layer, n] for layer, n in enumerate(sizes)]
 
 
 class TestPlanRandom:

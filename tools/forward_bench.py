@@ -1,0 +1,90 @@
+"""Time one-token forwards of the benchmark model at several cache widths.
+
+    python3 tools/forward_bench.py
+
+Builds the benchmark's model shape (4 layers x 4 heads, model dim 64, head
+dim 16, vocabulary 64, weights from seed 0) from this checkout's `src/`,
+with BLAS pinned to one thread as `perfbench/run.py` pins it. For each
+width in WIDTHS it decodes that many tokens into a cache, evicts every
+fifth non-prompt token at every head (so attention spans dead columns, as
+after pruning), and then times `TinyDecoder.forward_step` for the next
+position in each mode:
+
+- `logits`, `rows`, `kv`: the `outputs` keyword, with the token joining
+  the cache (its K/V slot is written but never committed, so every call
+  sees the same cache);
+- `requery`: `include_new_kv=False`, the query-only pass after a round.
+
+Each figure is the fastest of REPEATS batches of CALLS calls, in µs per
+call: on a shared host, other load only ever adds time, so the fastest
+batch is the steadiest estimate. Run it in two checkouts, alternating, to
+compare them.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+from time import perf_counter
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from thinkprune.cache import KvCacheState, ProtectedRegions  # noqa: E402
+from thinkprune.engine import decode_step  # noqa: E402
+from thinkprune.model import TinyDecoder, TinyModelConfig  # noqa: E402
+from thinkprune.policy import EvictionPlan  # noqa: E402
+
+SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16, rng_seed=0)
+WIDTHS = (16, 128, 400)
+PROMPT_LEN = 8
+MODES = ("logits", "rows", "kv", "requery")
+CALLS = 100
+REPEATS = 15
+
+
+def pruned_cache(model: TinyDecoder, width: int) -> KvCacheState:
+    cfg = model.config
+    state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim,
+                         ProtectedRegions(PROMPT_LEN, 0))
+    for position in range(width):
+        decode_step(state, model, 4 + (7 * position) % (cfg.vocab_size - 4), position)
+    victims = frozenset(range(PROMPT_LEN, width - 1, 5))
+    state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
+        (layer, head): victims for layer in range(cfg.num_layers) for head in range(cfg.num_heads)
+    }))
+    return state
+
+
+def time_mode(model: TinyDecoder, state: KvCacheState, mode: str) -> float:
+    width = state.next_index
+    if mode == "requery":
+        def call():
+            model.forward_step(state, 9, width - 1, include_new_kv=False)
+    else:
+        def call():
+            model.forward_step(state, 9, width, outputs=mode)
+    call()
+    batches = []
+    for _ in range(REPEATS):
+        started = perf_counter()
+        for _ in range(CALLS):
+            call()
+        batches.append((perf_counter() - started) / CALLS * 1e6)
+    return min(batches)
+
+
+def main() -> int:
+    model = TinyDecoder(TinyModelConfig(max_seq_len=max(WIDTHS) + 1, **SHAPE))
+    print(f"{'width':>6}" + "".join(f"{mode:>10}" for mode in MODES) + "   (µs per forward_step)")
+    for width in WIDTHS:
+        state = pruned_cache(model, width)
+        figures = [time_mode(model, state, mode) for mode in MODES]
+        print(f"{width:>6}" + "".join(f"{f:>10.1f}" for f in figures))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
