@@ -10,13 +10,22 @@ so decoding continues on the pruned sequence alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
 
 from .cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
-from .errors import ProbeLeak
-from .model import EOS_ID, StepOutput, TinyDecoder, TinyModelConfig, token_text, tokenize
+from .errors import ProbeLeak, SequenceTooLong
+from .model import (
+    EOS_ID,
+    THINK_END_ID,
+    StepOutput,
+    TinyDecoder,
+    TinyModelConfig,
+    token_text,
+    tokenize,
+)
 from .policy import (
     EvictionBudget,
     EvictionPlan,
@@ -35,6 +44,7 @@ from .policy import (
     round_ranking,
 )
 from .scoring import (
+    SUMMARIZATION_PROBE_TEXT,
     Candidates,
     ProbeConfig,
     ScoreTensor,
@@ -315,13 +325,10 @@ def plan_round(
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def _probe_tokens(probe: ProbeConfig, vocab_size: int) -> list[tuple[int, str]]:
-    """The probe's tokens, which must end with the probe's end-of-thinking id."""
-    tokens = tokenize(probe.prompt_text, vocab_size)
-    if tokens[-1][0] != probe.think_end_token_id:
-        raise ValueError(f"the probe prompt tokenizes to end with id {tokens[-1][0]}, "
-                         f"not the end-of-thinking id {probe.think_end_token_id}")
-    return tokens
+@lru_cache(maxsize=16)
+def _probe_ids(vocab_size: int) -> tuple[int, ...]:
+    """The ids of SUMMARIZATION_PROBE_TEXT, whose last is THINK_END_ID."""
+    return tuple(tid for tid, _text in tokenize(SUMMARIZATION_PROBE_TEXT, vocab_size))
 
 
 def probe_cycle(
@@ -329,7 +336,6 @@ def probe_cycle(
     model: TinyDecoder,
     trace: ReasoningTrace,
     markers: MarkerSet,
-    probe: ProbeConfig,
     policy: PolicyKind,
     budget: EvictionBudget | None,
     *,
@@ -353,23 +359,23 @@ def probe_cycle(
     """
     reasoning_ids = [tok.id for tok in trace.tokens[trace.reason_start:]]
     record = ProbeRecord(round_index=round_index, reasoning_tokens=len(reasoning_ids))
-    if probe.think_end_token_id in reasoning_ids:
+    if THINK_END_ID in reasoning_ids:
         record.skipped = True
         record.skip_reason = "post-reasoning"
         return record, None
 
-    probe_tokens = _probe_tokens(probe, model.config.vocab_size)
+    probe_ids = _probe_ids(model.config.vocab_size)
     base = len(trace.tokens)
-    if base + len(probe_tokens) > model.config.max_seq_len:
+    if base + len(probe_ids) > model.config.max_seq_len:
         record.skipped = True
         record.skip_reason = "no-room"
         return record, None
     pre_live = state.live[:, :, :base].copy()
-    last = len(probe_tokens) - 1
+    last = len(probe_ids) - 1
     try:
         # the round reads the probe tokens' K/V and the last token's rows,
         # never a probe token's logits
-        for offset, (pid, _text) in enumerate(probe_tokens):
+        for offset, pid in enumerate(probe_ids):
             out = model.forward_step(state, pid, base + offset,
                                      outputs="rows" if offset == last else "kv")
             state.append(base + offset)
@@ -437,11 +443,14 @@ def run(
 ) -> RunRecord:
     """Generate up to max_new_tokens, probing and pruning on schedule.
 
-    Probe rounds fire after every interval_p newly generated reasoning
-    tokens and never once the model has emitted its own end-of-thinking
-    token. All randomness flows from the config seeds; repeated runs are
-    bitwise identical. on_step(step, state) and on_probe(pre, post, record)
-    are observation hooks for tests and reporting.
+    Decoding stops early at EOS or once the sequence fills the model's
+    max_seq_len; a prompt longer than max_seq_len raises SequenceTooLong
+    before the first forward. Probe rounds fire after every interval_p
+    newly generated reasoning tokens and never once the model has emitted
+    its own end-of-thinking token. All randomness flows from the config
+    seeds; repeated runs are bitwise identical. on_step(step, state) and
+    on_probe(pre, post, record) are observation hooks for tests and
+    reporting.
     """
     if isinstance(model, TinyModelConfig):
         model = TinyDecoder(model)
@@ -456,8 +465,9 @@ def run(
     for i, (tid, _text) in enumerate(prompt_tokens):
         if not 0 <= tid < cfg.vocab_size:
             raise ValueError(f"prompt id {tid} at position {i} is outside [0, {cfg.vocab_size})")
-    # every run tracks the probe's end-of-thinking id, whether or not it probes
-    _probe_tokens(config.probe, cfg.vocab_size)
+    if len(prompt_tokens) > cfg.max_seq_len:
+        raise SequenceTooLong(f"the prompt's {len(prompt_tokens)} tokens exceed "
+                              f"max_seq_len {cfg.max_seq_len}")
 
     ratio_budget = config.budget if isinstance(config.budget, CacheBudget) else None
     periodic_budget = config.budget if isinstance(config.budget, EvictionBudget) else None
@@ -493,7 +503,7 @@ def run(
     reasoning_active = True
     reason_len: int | None = None
 
-    while len(generated) < config.max_new_tokens:
+    while len(generated) < config.max_new_tokens and len(tokens) < cfg.max_seq_len:
         next_id = _sample_token(logits, config, rng)
         position = len(tokens)
         step_started = perf_counter()
@@ -507,7 +517,7 @@ def run(
         generated.append(next_id)
         if h2o is not None:
             h2o.add(out.rows)
-        if next_id == config.probe.think_end_token_id and reasoning_active:
+        if next_id == THINK_END_ID and reasoning_active:
             reasoning_active = False
             reason_len = len(generated) - 1
         if (
@@ -520,8 +530,7 @@ def run(
             pre = state.live_sets() if on_probe is not None else None
             probe_started = perf_counter()
             record, artifacts = probe_cycle(
-                state, model, trace, markers, config.probe, config.policy,
-                periodic_budget,
+                state, model, trace, markers, config.policy, periodic_budget,
                 h2o=h2o,
                 eviction_seed=config.eviction_seed,
                 round_index=len(records),

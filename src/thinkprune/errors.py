@@ -38,7 +38,8 @@ class BudgetInfeasible(PruneError):
 
 
 class SequenceTooLong(PruneError):
-    """Decoding attempted to move past the model's maximum sequence length."""
+    """A prompt, or a forward's position, does not fit under the model's maximum
+    sequence length."""
 
 
 class ProbeLeak(PruneError):

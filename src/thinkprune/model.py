@@ -14,16 +14,17 @@ import json
 import math
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputFormatError, SequenceTooLong
-from .scoring import DEFAULT_THINK_END_TOKEN_ID, THINK_END_TEXT
+from .scoring import THINK_END_TEXT
 
 PAD_ID = 0
-THINK_END_ID = DEFAULT_THINK_END_TOKEN_ID
+# the id tokenize gives THINK_END_TEXT, which ends the summarization probe
+THINK_END_ID = 1
 EOS_ID = 2
 NUM_RESERVED_IDS = 4
 
@@ -101,15 +102,7 @@ class TinyModelConfig:
             raise ValueError(f"vocab_size must exceed {NUM_RESERVED_IDS}")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "model_dim": self.model_dim,
-            "head_dim": self.head_dim,
-            "max_seq_len": self.max_seq_len,
-            "rng_seed": self.rng_seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -224,11 +217,7 @@ class TinyDecoder:
     # --- numerics ---------------------------------------------------------
 
     def _rms(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-        # np.add.reduce / d is exactly what np.mean computes, without its overhead;
-        # for one vector the division, epsilon and square root are the same IEEE
-        # operations on a Python float
-        if x.ndim == 1:
-            return x / math.sqrt(float(np.add.reduce(np.square(x))) / x.shape[0] + _RMS_EPS) * gain
+        # np.add.reduce / d is exactly what np.mean computes, without its overhead
         mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
         scale = np.sqrt(mean_sq + _RMS_EPS)
         return x / scale * gain
@@ -344,7 +333,6 @@ class TinyDecoder:
     def reference_forward(
         self,
         token_ids,
-        positions=None,
         key_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Non-incremental forward with an arbitrary per-(layer, head) key mask.
@@ -358,7 +346,7 @@ class TinyDecoder:
         t = len(ids)
         if t > cfg.max_seq_len:
             raise SequenceTooLong(f"sequence of {t} exceeds max_seq_len {cfg.max_seq_len}")
-        pos = np.arange(t) if positions is None else np.asarray(positions, dtype=np.int64)
+        pos = np.arange(t)
         causal = np.tril(np.ones((t, t), dtype=bool))
         if key_mask is None:
             key_mask = np.ones((cfg.num_layers, cfg.num_heads, t, t), dtype=bool)

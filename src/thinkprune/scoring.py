@@ -22,10 +22,6 @@ from .trace import ReasoningTrace, Segmentation
 
 THINK_END_TEXT = "</think>"
 
-# Reserved vocabulary id the bundled tiny model uses for the end-of-thinking
-# token; external tokenizers supply their own id via ProbeConfig.
-DEFAULT_THINK_END_TOKEN_ID = 1
-
 SUMMARIZATION_PROBE_TEXT = (
     "Time is up. Given the time I've spent and the approaches I've tried, "
     "I should stop thinking and now write summarization in one sentence."
@@ -69,27 +65,19 @@ def candidate_mask(live: Candidates, shape: tuple[int, int, int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """The summarization prompt, its trigger token id, and the probe period."""
+    """The probe period: SUMMARIZATION_PROBE_TEXT runs every interval_p
+    generated reasoning tokens."""
 
-    prompt_text: str
-    think_end_token_id: int
     interval_p: int
 
     def __post_init__(self) -> None:
-        if not self.prompt_text:
-            raise ValueError("probe prompt_text must be non-empty")
-        if not self.prompt_text.endswith(THINK_END_TEXT):
-            raise ValueError(f"probe prompt_text must end with {THINK_END_TEXT!r}")
         if self.interval_p < 1:
             raise ValueError(f"probe interval_p must be >= 1, got {self.interval_p}")
 
 
-def default_probe(
-    think_end_token_id: int = DEFAULT_THINK_END_TOKEN_ID,
-    interval_p: int = DEFAULT_PRUNING_INTERVAL,
-) -> ProbeConfig:
-    """The stock summarization probe with a 200-token pruning interval."""
-    return ProbeConfig(SUMMARIZATION_PROBE_TEXT, think_end_token_id, interval_p)
+def default_probe(interval_p: int = DEFAULT_PRUNING_INTERVAL) -> ProbeConfig:
+    """The summarization probe, by default every 200 tokens."""
+    return ProbeConfig(interval_p)
 
 
 class ScoreTensor:

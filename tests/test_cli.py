@@ -244,11 +244,11 @@ class TestRunCommand:
         assert main(["run", "--policy", "ours", "--out", str(tmp_path / "x")]) == EXIT_INPUT
 
     def test_engine_failure_exits_3_with_partial_results(self, tmp_path, capsys):
-        # decoding alone overruns max-seq 16: SequenceTooLong (probe rounds
-        # without room are skipped, so they are not what fails)
+        # the default 5-token prompt does not fit under max-seq 4:
+        # SequenceTooLong (decoding that reaches the limit stops instead)
         out = tmp_path / "fail"
         code = main(["run", "--policy", "ours", "--budget", "2", "--interval", "4",
-                     "--max-new", "40", "--max-seq", "16", "--out", str(out)])
+                     "--max-new", "40", "--max-seq", "4", "--out", str(out)])
         assert code == EXIT_RUNTIME
         assert "SequenceTooLong" in capsys.readouterr().err
         assert (out / "report.csv").exists()

@@ -19,10 +19,10 @@ from thinkprune.engine import (
     requery_logits,
     run,
 )
-from thinkprune.errors import ProbeLeak, ProtectedTokenEviction
-from thinkprune.model import THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
+from thinkprune.errors import ProbeLeak, ProtectedTokenEviction, SequenceTooLong
+from thinkprune.model import EOS_ID, THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
 from thinkprune.policy import EvictionBudget, EvictionPlan, H2OAccumulator, PolicyKind
-from thinkprune.scoring import ScoreTensor, default_probe
+from thinkprune.scoring import SUMMARIZATION_PROBE_TEXT, ScoreTensor, default_probe
 from thinkprune.trace import ReasoningTrace, Token, default_marker_set
 
 PROMPT = "Solve: compute two plus two."
@@ -103,19 +103,7 @@ def count_forwards(monkeypatch) -> list:
 
 
 class TestProbeIds:
-    """run checks that the probe ends with its end-of-thinking id before the first forward."""
-
-    @pytest.mark.parametrize("policy", [None, PolicyKind.HIERARCHICAL], ids=["full", "ours"])
-    def test_mismatched_end_of_thinking_id_is_rejected_before_any_forward(self, monkeypatch,
-                                                                           policy):
-        forwards = count_forwards(monkeypatch)
-        config = DecodeConfig(max_new_tokens=20,
-                              probe=default_probe(think_end_token_id=5, interval_p=8),
-                              policy=policy, budget=None if policy is None else EvictionBudget(2))
-        with pytest.raises(ValueError, match=rf"tokenizes to end with id {THINK_END_ID}, "
-                                             "not the end-of-thinking id 5"):
-            run(TinyModelConfig(), PROMPT, config)
-        assert forwards == []
+    """The probe's ids come from tokenizing SUMMARIZATION_PROBE_TEXT, once per vocabulary."""
 
     def test_matching_id_runs(self, monkeypatch):
         forwards = count_forwards(monkeypatch)
@@ -125,6 +113,26 @@ class TestProbeIds:
         assert first.ran_probe
         # prompt, decode, probe, and the requery after an evicting round
         assert len(forwards) == record.prompt_len + 8 + 25 + (first.evicted_total > 0)
+
+    def test_probe_text_is_tokenized_once_per_vocabulary(self, monkeypatch):
+        tokenized = []
+        tokenize = engine.tokenize
+
+        def counting(text, vocab_size):
+            if text == SUMMARIZATION_PROBE_TEXT:
+                tokenized.append(vocab_size)
+            return tokenize(text, vocab_size)
+
+        monkeypatch.setattr(engine, "tokenize", counting)
+        engine._probe_ids.cache_clear()
+        config = make_config(policy=PolicyKind.HIERARCHICAL, budget=EvictionBudget(2), max_new=24)
+        record = run(TinyModelConfig(), PROMPT, config)
+        assert [rec.ran_probe for rec in record.probe_records] == [True] * 3
+        assert tokenized == [64]
+        other = run(TinyModelConfig(vocab_size=128), PROMPT, config)
+        assert [rec.ran_probe for rec in other.probe_records] == [True] * 3
+        run(TinyModelConfig(), PROMPT, config)
+        assert tokenized == [64, 128]
 
 
 class TestPrefill:
@@ -155,6 +163,30 @@ class TestPrefill:
         for i, (tid, _text) in enumerate(tokenize(PROMPT, 64)):
             logits = decode(state, model, tid, i).logits
         assert record.generated_ids[0] == int(np.argmax(logits))
+
+
+class TestContextLimit:
+    @pytest.mark.parametrize("policy", [None, PolicyKind.HIERARCHICAL], ids=["full", "ours"])
+    def test_decoding_stops_at_max_seq_len(self, policy):
+        config = make_config(policy=policy, budget=None if policy is None else EvictionBudget(2),
+                             max_new=100)
+        record = run(TinyModelConfig(max_seq_len=40), PROMPT, config)
+        assert record.prompt_len + record.tokens_generated == 40
+        assert EOS_ID not in record.generated_ids
+        if policy is not None:
+            # the 25-token probe fits at 5 + 8 tokens, and not from 5 + 16 on
+            assert [rec.skip_reason for rec in record.probe_records] == [None] + ["no-room"] * 3
+
+    def test_prompt_longer_than_max_seq_len_is_refused_before_any_forward(self, monkeypatch):
+        forwards = count_forwards(monkeypatch)
+        with pytest.raises(SequenceTooLong, match="the prompt's 5 tokens exceed max_seq_len 4"):
+            run(TinyModelConfig(max_seq_len=4), PROMPT, make_config())
+        assert forwards == []
+
+    def test_prompt_that_fills_max_seq_len_generates_nothing(self):
+        record = run(TinyModelConfig(max_seq_len=5), PROMPT, make_config())
+        assert record.prompt_len == 5
+        assert record.generated_ids == []
 
 
 class TestKvStats:
@@ -300,7 +332,7 @@ class TestProbeCycle:
         texts = ["Q:", "First", " x", " y", ".", " Wait", " z"]
         state, trace = self._prefill(model, texts)
         record, artifacts = probe_cycle(
-            state, model, trace, default_marker_set(), small_probe(),
+            state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
         assert record.ran_probe
@@ -328,7 +360,7 @@ class TestProbeCycle:
         before = state.live_sets()
         before_next = state.next_index
         record, _ = probe_cycle(
-            state, model, trace, default_marker_set(), small_probe(),
+            state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(0),
         )
         assert record.evicted_total == 0
@@ -343,7 +375,7 @@ class TestProbeCycle:
         state, trace = self._prefill(model, texts, ids)
         before = state.live_sets()
         record, artifacts = probe_cycle(
-            state, model, trace, default_marker_set(), small_probe(),
+            state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(3),
         )
         assert record.skipped
@@ -357,7 +389,7 @@ class TestProbeCycle:
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
         state, trace = self._prefill(model, texts)
         pre = state.live_sets()
-        probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+        probe_cycle(state, model, trace, default_marker_set(),
                     PolicyKind.HIERARCHICAL, EvictionBudget(2))
         post = state.live_sets()
         base = len(trace.tokens)
@@ -374,20 +406,22 @@ class TestProbeCycle:
         forward_step = TinyDecoder.forward_step
         calls = []
 
-        def spy(self, *args, **kwargs):
-            calls.append(kwargs.get("outputs", "logits"))
-            return forward_step(self, *args, **kwargs)
+        def spy(self, cache, token_id, *args, **kwargs):
+            calls.append((token_id, kwargs.get("outputs", "logits")))
+            return forward_step(self, cache, token_id, *args, **kwargs)
 
         def no_decode_step(*args, **kwargs):
             raise AssertionError("a probe round called decode_step")
 
         monkeypatch.setattr(TinyDecoder, "forward_step", spy)
         monkeypatch.setattr(engine, "decode_step", no_decode_step)
-        record, _ = probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+        record, _ = probe_cycle(state, model, trace, default_marker_set(),
                                 PolicyKind.HIERARCHICAL, EvictionBudget(2))
         assert record.ran_probe
-        assert len(tokenize(small_probe().prompt_text, model.config.vocab_size)) == 25
-        assert calls == ["kv"] * 24 + ["rows"]
+        probe = tokenize(SUMMARIZATION_PROBE_TEXT, model.config.vocab_size)
+        assert [token_id for token_id, _outputs in calls] == [pid for pid, _text in probe]
+        assert calls[-1][0] == THINK_END_ID
+        assert [outputs for _token_id, outputs in calls] == ["kv"] * 24 + ["rows"]
 
     def test_candidates_end_where_the_recent_window_of_the_real_sequence_starts(self, monkeypatch):
         # the probe is retracted before planning: the candidate mask is as wide
@@ -404,7 +438,7 @@ class TestProbeCycle:
             return plan_round(policy, scores, seg, step_scores, live, *args)
 
         monkeypatch.setattr(engine, "plan_round", spy)
-        record, _ = probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+        record, _ = probe_cycle(state, model, trace, default_marker_set(),
                                 PolicyKind.HIERARCHICAL, EvictionBudget(1))
         (live, next_index), = seen
         assert next_index == base
@@ -422,7 +456,7 @@ class TestProbeCycle:
         monkeypatch.setattr(KvCacheState, "remove_suffix",
                             lambda self, start: remove_suffix(self, start + 1))
         with pytest.raises(ProbeLeak, match=r"survived at \(layer, head\) \(0, 0\)"):
-            probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+            probe_cycle(state, model, trace, default_marker_set(),
                         PolicyKind.HIERARCHICAL, EvictionBudget(0))
 
     def test_revived_key_is_a_leak(self, monkeypatch):
@@ -439,7 +473,7 @@ class TestProbeCycle:
 
         monkeypatch.setattr(KvCacheState, "remove_suffix", revive)
         with pytest.raises(ProbeLeak, match=r"grew .* \(1, 0\)"):
-            probe_cycle(state, model, trace, default_marker_set(), small_probe(),
+            probe_cycle(state, model, trace, default_marker_set(),
                         PolicyKind.HIERARCHICAL, EvictionBudget(0))
 
     def test_score_refresh_mode_evicts_nothing(self):
@@ -448,7 +482,7 @@ class TestProbeCycle:
         state, trace = self._prefill(model, texts)
         before = state.live_sets()
         record, artifacts = probe_cycle(
-            state, model, trace, default_marker_set(), small_probe(),
+            state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, None,
         )
         assert record.ran_probe
@@ -500,7 +534,7 @@ class TestProbeCycleFaults:
         sums = h2o.sums.copy()
         inject()
         with pytest.raises(error):
-            probe_cycle(state, model, trace, default_marker_set(), small_probe(), policy,
+            probe_cycle(state, model, trace, default_marker_set(), policy,
                         EvictionBudget(2), h2o=h2o)
         width = live.shape[2]
         assert state.live[:, :, :width].tobytes() == live.tobytes()
@@ -746,7 +780,7 @@ class TestRunRecord:
             decode_step(state, model, 10 + i, i)
         trace = ReasoningTrace(tuple(Token(i, 10 + i, text) for i, text in enumerate(texts)), 1)
         record, _ = probe_cycle(
-            state, model, trace, default_marker_set(), small_probe(),
+            state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
         scores = record.scores

@@ -1,10 +1,12 @@
 """Engine property test: Hypothesis draws whole runs and checks every step.
 
 Small models, prompts, probe intervals, budgets, all five policies (full
-and the four pruning ones) and both budget modes. Through the run's
-on_step and on_probe hooks, each step's occupancy row, protection and cap,
-and each probe round's effect on the live sets are checked against plain
-scans of `live_sets()`.
+and the four pruning ones) and both budget modes. The model's max_seq_len
+may fall below prompt + max_new_tokens, where the run stops at the limit,
+and below the prompt, where it is refused before its first forward.
+Through the run's on_step and on_probe hooks, each step's occupancy row,
+protection and cap, and each probe round's effect on the live sets are
+checked against plain scans of `live_sets()`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from hypothesis import strategies as st
 
 from thinkprune.cache import CacheBudget
 from thinkprune.engine import DecodeConfig, run
-from thinkprune.model import TinyModelConfig, tokenize
+from thinkprune.errors import SequenceTooLong
+from thinkprune.model import EOS_ID, TinyDecoder, TinyModelConfig, tokenize
 from thinkprune.policy import EvictionBudget, PolicyKind
-from thinkprune.scoring import default_probe
+from thinkprune.scoring import SUMMARIZATION_PROBE_TEXT, default_probe
 
 # token texts for drawn prompts: step markers and filler
 WORDS = (" Wait", " So", " First", " Then", " Hmm", " the", " sum", " two", " plus",
@@ -35,12 +38,15 @@ def run_cases(draw):
                            min_size=1, max_size=8))
     max_new = draw(st.integers(0, 40))
     # slack past prompt + max_new; under the probe's 25 tokens some rounds
-    # have no room, and at 25 a round on the last step fits exactly
-    slack = draw(st.one_of(st.integers(0, 60), st.sampled_from([24, 25])))
+    # have no room, and at 25 a round on the last step fits exactly. Below 0
+    # the run stops at max_seq_len, and below -max_new its prompt does not fit.
+    total = len(prompt) + max_new
+    slack = draw(st.one_of(st.integers(0, 60), st.sampled_from([24, 25]),
+                           st.integers(1 - total, -1) if total > 1 else st.just(0)))
     model = TinyModelConfig(
         vocab_size=vocab_size, num_layers=draw(st.integers(1, 2)), num_heads=num_heads,
         model_dim=num_heads * head_dim, head_dim=head_dim,
-        max_seq_len=len(prompt) + max_new + slack, rng_seed=draw(st.integers(0, 3)),
+        max_seq_len=total + slack, rng_seed=draw(st.integers(0, 3)),
     )
     policy = draw(st.sampled_from([*PolicyKind, None]))
     recent, budget = 0, None
@@ -76,8 +82,19 @@ def test_every_step_matches_a_scan_of_the_live_sets(case):
         return
     config = DecodeConfig(**options)
     prompt_len = len(prompt)
+    if prompt_len > model.max_seq_len:
+        decoder = TinyDecoder(model)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran before the prompt was refused")
+
+        decoder.forward_step = no_forward
+        with pytest.raises(SequenceTooLong, match=f"{prompt_len} tokens exceed "
+                                                  f"max_seq_len {model.max_seq_len}"):
+            run(decoder, prompt, config)
+        return
     recent = budget.recent_window if isinstance(budget, CacheBudget) else options["recent_window"]
-    probe_len = len(tokenize(config.probe.prompt_text, model.vocab_size))
+    probe_len = len(tokenize(SUMMARIZATION_PROBE_TEXT, model.vocab_size))
     scans: list[dict] = []
     rounds: list[tuple] = []
 
@@ -97,6 +114,12 @@ def test_every_step_matches_a_scan_of_the_live_sets(case):
         scans.append(live)
 
     record = run(model, prompt, config, on_step=on_step, on_probe=on_probe)
+
+    # a run ends at max_new_tokens, at EOS, or where the sequence fills max_seq_len
+    generated = record.generated_ids
+    if len(generated) < options["max_new_tokens"] and generated[-1:] != [EOS_ID]:
+        assert prompt_len + len(generated) == model.max_seq_len
+    assert prompt_len + len(generated) <= model.max_seq_len
 
     # the rows as the record's JSON holds them
     occupancy = record.to_dict()["occupancy"]

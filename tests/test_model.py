@@ -546,7 +546,7 @@ class TestInPlaceKv:
                     prompt_len,
                 )
                 record, _ = probe_cycle(state, model, trace, default_marker_set(),
-                                        default_probe(), PolicyKind.RANDOM, EvictionBudget(6),
+                                        PolicyKind.RANDOM, EvictionBudget(6),
                                         eviction_seed=1)
                 assert record.ran_probe and record.evicted_total > 0
                 assert state.live.shape[2] == 128

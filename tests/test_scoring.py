@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -29,34 +30,30 @@ def all_live(layer, head, token):
 
 class TestDefaultProbe:
     def test_prompt_text(self):
-        probe = default_probe()
-        assert probe.prompt_text == (
+        assert SUMMARIZATION_PROBE_TEXT == (
             "Time is up. Given the time I've spent and the approaches I've tried, "
             "I should stop thinking and now write summarization in one sentence.</think>"
         )
-        assert probe.prompt_text.endswith("</think>")
 
     def test_interval(self):
         assert default_probe().interval_p == 200
 
     def test_tokenization_ends_with_think_end(self):
-        probe = default_probe()
-        tokens = tokenize(probe.prompt_text, 64)
-        assert tokens[-1] == (THINK_END_ID, "</think>")
-        assert probe.think_end_token_id == THINK_END_ID
+        for vocab_size in (16, 64):
+            tokens = tokenize(SUMMARIZATION_PROBE_TEXT, vocab_size)
+            assert tokens[-1] == (THINK_END_ID, "</think>")
+            assert [tid for tid, _text in tokens].count(THINK_END_ID) == 1
 
     def test_probe_text_constant(self):
-        assert default_probe().prompt_text == SUMMARIZATION_PROBE_TEXT
+        # the period is the probe's one setting; the text is fixed
+        assert default_probe(interval_p=7) == ProbeConfig(7)
+        assert [f.name for f in fields(ProbeConfig)] == ["interval_p"]
 
 
 class TestProbeConfigValidation:
-    def test_needs_think_end_suffix(self):
-        with pytest.raises(ValueError):
-            ProbeConfig("Summarize now.", 1, 10)
-
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError):
-            ProbeConfig(SUMMARIZATION_PROBE_TEXT, 1, 0)
+            ProbeConfig(0)
 
 
 def _rows_from_arrays(arrays: dict[tuple[int, int], list[float]]) -> np.ndarray:
