@@ -61,9 +61,9 @@ _INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
     UnicodeDecodeError,
+    SequenceTooLong,
 )
 _RUNTIME_ERRORS = (
-    SequenceTooLong,
     ProbeLeak,
     BudgetInfeasible,
     ProtectedTokenEviction,

@@ -2,24 +2,22 @@
 
 Pre-norm blocks, rotary positions bound to original token indices (so
 evicting a key never shifts the geometry of the survivors), multi-head
-attention restricted to whatever the cache says is live. Weights are drawn
-once from a seed and kept in float32, which is also the serialized form;
-all arithmetic runs in float64 so the incremental and batch paths agree to
-near machine precision.
+attention restricted to whatever the cache says is live. The config's seed
+is the whole model: weights are drawn from it in float32, the RMS norms have
+no gain, and all arithmetic runs in float64 so the incremental and batch
+paths agree to near machine precision.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import zlib
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError, SequenceTooLong
+from .errors import SequenceTooLong
 from .scoring import THINK_END_TEXT
 
 PAD_ID = 0
@@ -145,7 +143,7 @@ def _inv_rms(x: np.ndarray) -> float:
 
 
 def _normed(x: np.ndarray) -> np.ndarray:
-    """x scaled to unit RMS; the norm's gain lives in the weights it feeds."""
+    """x scaled to unit RMS: the norm, which has no gain."""
     return x * _inv_rms(x)
 
 
@@ -158,69 +156,52 @@ class TinyDecoder:
         d, v, f = config.model_dim, config.vocab_size, 4 * config.model_dim
 
         def normal(*shape: int, scale: float) -> np.ndarray:
-            return (rng.standard_normal(shape, dtype=np.float32) * np.float32(scale))
+            # drawn in float32, so every weight is exactly a float32 value
+            draw = rng.standard_normal(shape, dtype=np.float32) * np.float32(scale)
+            return draw.astype(np.float64)
 
-        weights: dict[str, np.ndarray] = {"embed": normal(v, d, scale=1.0)}
+        w: dict[str, np.ndarray] = {"embed": normal(v, d, scale=1.0)}
         for layer in range(config.num_layers):
-            weights[f"layers.{layer}.attn_norm"] = np.ones(d, dtype=np.float32)
-            weights[f"layers.{layer}.wq"] = normal(d, d, scale=1.0 / math.sqrt(d))
-            weights[f"layers.{layer}.wk"] = normal(d, d, scale=1.0 / math.sqrt(d))
-            weights[f"layers.{layer}.wv"] = normal(d, d, scale=1.0 / math.sqrt(d))
-            weights[f"layers.{layer}.wo"] = normal(d, d, scale=1.0 / math.sqrt(d))
-            weights[f"layers.{layer}.mlp_norm"] = np.ones(d, dtype=np.float32)
-            weights[f"layers.{layer}.mlp_in"] = normal(d, f, scale=1.0 / math.sqrt(d))
-            weights[f"layers.{layer}.mlp_out"] = normal(f, d, scale=1.0 / math.sqrt(f))
-        weights["final_norm"] = np.ones(d, dtype=np.float32)
-        weights["unembed"] = normal(d, v, scale=1.0 / math.sqrt(d))
-        self._weights32 = weights
-        self._refresh_working_copies()
-
-    def _refresh_working_copies(self) -> None:
-        cfg = self.config
-        self._w = {name: arr.astype(np.float64) for name, arr in self._weights32.items()}
-        half = cfg.head_dim // 2
-        self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / cfg.head_dim)
-        # forward_step's working set, with the per-model constants folded in:
-        # one tuple per layer whose (d, 3d) wq|wk|wv matrix carries the
-        # attn_norm gain on its rows and 1/sqrt(head_dim) on its q columns,
-        # the unembedding with the final_norm gain on its rows, layer 0's
-        # Q/K/V per token id, and one rotation matrix per position
-        w = self._w
+            for name in ("wq", "wk", "wv", "wo"):
+                w[f"layers.{layer}.{name}"] = normal(d, d, scale=1.0 / math.sqrt(d))
+            w[f"layers.{layer}.mlp_in"] = normal(d, f, scale=1.0 / math.sqrt(d))
+            w[f"layers.{layer}.mlp_out"] = normal(f, d, scale=1.0 / math.sqrt(f))
+        w["unembed"] = normal(d, v, scale=1.0 / math.sqrt(d))
+        self._w = w
+        half = config.head_dim // 2
+        self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
+        # forward_step's working set: one tuple per layer whose (d, 3d)
+        # wq|wk|wv matrix carries 1/sqrt(head_dim) on its q columns, layer
+        # 0's Q/K/V per token id, and one rotation matrix per position
         blocks = []
-        for layer in range(cfg.num_layers):
+        for layer in range(config.num_layers):
             wqkv = np.concatenate([w[f"layers.{layer}.w{p}"] for p in "qkv"], axis=1)
-            wqkv *= w[f"layers.{layer}.attn_norm"][:, None]
-            wqkv[:, :cfg.model_dim] *= 1.0 / math.sqrt(cfg.head_dim)
-            blocks.append((wqkv, w[f"layers.{layer}.wo"], w[f"layers.{layer}.mlp_norm"],
+            wqkv[:, :d] *= 1.0 / math.sqrt(config.head_dim)
+            blocks.append((wqkv, w[f"layers.{layer}.wo"],
                            w[f"layers.{layer}.mlp_in"], w[f"layers.{layer}.mlp_out"]))
         self._blocks = tuple(blocks)
-        self._unembed = w["final_norm"][:, None] * w["unembed"]
         # layer 0's input is the embedding row, so its Q/K/V depend on the id
         # alone; each row is the product forward_step computes at later layers
         wqkv0 = blocks[0][0]
         self._layer0_qkv = np.stack([_normed(x) @ wqkv0 for x in w["embed"]])
         # v @ rotation[p] is _rope(v, p): the halves (x1, x2) of v become
         # (x1 cos - x2 sin, x2 cos + x1 sin)
-        angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
+        angles = np.arange(config.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
         cos, sin = np.cos(angles), np.sin(angles)
-        first, second = np.arange(half), np.arange(half, cfg.head_dim)
-        rotation = np.zeros((cfg.max_seq_len, cfg.head_dim, cfg.head_dim))
+        first, second = np.arange(half), np.arange(half, config.head_dim)
+        rotation = np.zeros((config.max_seq_len, config.head_dim, config.head_dim))
         rotation[:, first, first] = cos
         rotation[:, second, second] = cos
         rotation[:, second, first] = -sin
         rotation[:, first, second] = sin
         self._rotation = rotation
 
-    def weight_names(self) -> list[str]:
-        return list(self._weights32)
-
     # --- numerics ---------------------------------------------------------
 
-    def _rms(self, x: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    def _rms(self, x: np.ndarray) -> np.ndarray:
         # np.add.reduce / d is exactly what np.mean computes, without its overhead
         mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True) / x.shape[-1]
-        scale = np.sqrt(mean_sq + _RMS_EPS)
-        return x / scale * gain
+        return x / np.sqrt(mean_sq + _RMS_EPS)
 
     def _rope(self, heads: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Rotate per-head vectors by their original absolute positions.
@@ -296,7 +277,7 @@ class TinyDecoder:
         stop_at_rows = last if outputs == "rows" else -1
         x = self._w["embed"][token_id]
         qkv = self._layer0_qkv[token_id]
-        for layer, (wqkv, wo, mlp_norm, mlp_in, mlp_out) in enumerate(self._blocks):
+        for layer, (wqkv, wo, mlp_in, mlp_out) in enumerate(self._blocks):
             if layer:
                 qkv = _normed(x) @ wqkv
             qkv = qkv.reshape(3 * num_heads, head_dim)
@@ -321,11 +302,11 @@ class TinyDecoder:
                 break
             x = x + (weights[:, None, :] @ values).reshape(cfg.model_dim) @ wo
             # the MLP input is norm(x) / 2, so silu(h) = g + g tanh(g) with g = h / 2
-            g = (x * (0.5 * _inv_rms(x)) * mlp_norm) @ mlp_in
+            g = (x * (0.5 * _inv_rms(x))) @ mlp_in
             x = x + _silu_of_double(g) @ mlp_out
         logits = None
         if outputs == "logits":
-            logits = _normed(x) @ self._unembed
+            logits = _normed(x) @ self._w["unembed"]
         return StepOutput(logits, None if outputs == "kv" else rows)
 
     # --- batch oracle path ----------------------------------------------------
@@ -357,7 +338,7 @@ class TinyDecoder:
         inv_scale = 1.0 / math.sqrt(head_dim)
         x = self._w["embed"][ids]
         for layer in range(cfg.num_layers):
-            u = self._rms(x, self._w[f"layers.{layer}.attn_norm"])
+            u = self._rms(x)
             q = self._rope((u @ self._w[f"layers.{layer}.wq"]).reshape(t, num_heads, head_dim), pos)
             k = self._rope((u @ self._w[f"layers.{layer}.wk"]).reshape(t, num_heads, head_dim), pos)
             v = (u @ self._w[f"layers.{layer}.wv"]).reshape(t, num_heads, head_dim)
@@ -371,54 +352,6 @@ class TinyDecoder:
             weights = ex / ex.sum(axis=-1, keepdims=True)
             attn = np.einsum("hqk,khd->qhd", weights, v)
             x = x + attn.reshape(t, cfg.model_dim) @ self._w[f"layers.{layer}.wo"]
-            u2 = self._rms(x, self._w[f"layers.{layer}.mlp_norm"])
+            u2 = self._rms(x)
             x = x + _silu(u2 @ self._w[f"layers.{layer}.mlp_in"]) @ self._w[f"layers.{layer}.mlp_out"]
-        return self._rms(x, self._w["final_norm"]) @ self._w["unembed"]
-
-    # --- serialization ----------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        """One file: a JSON header line, then flat little-endian float32 data."""
-        header = {
-            "format": "tinydecoder-v1",
-            "config": self.config.to_dict(),
-            "order": self.weight_names(),
-            "shapes": {name: list(arr.shape) for name, arr in self._weights32.items()},
-        }
-        blob = b"".join(self._weights32[name].astype("<f4").tobytes() for name in self.weight_names())
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(blob)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TinyDecoder":
-        raw = Path(path).read_bytes()
-        newline = raw.find(b"\n")
-        if newline < 0:
-            raise InputFormatError('model file is missing the header line')
-        try:
-            header = json.loads(raw[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise InputFormatError(f'model file header is not valid JSON: {exc}') from exc
-        if header.get("format") != "tinydecoder-v1":
-            raise InputFormatError('model file field "format" is not "tinydecoder-v1"')
-        try:
-            config = TinyModelConfig(**header["config"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f'model file field "config" is malformed: {exc}') from exc
-        model = cls(config)
-        data = raw[newline + 1:]
-        offset = 0
-        for name in header.get("order", []):
-            shape = tuple(header["shapes"][name])
-            count = int(np.prod(shape))
-            chunk = data[offset: offset + 4 * count]
-            if len(chunk) != 4 * count:
-                raise InputFormatError(f'model file is truncated at weight "{name}"')
-            model._weights32[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-            offset += 4 * count
-        if offset != len(data):
-            raise InputFormatError("model file has trailing bytes after the declared weights")
-        model._refresh_working_copies()
-        return model
+        return self._rms(x) @ self._w["unembed"]

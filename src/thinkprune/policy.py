@@ -63,9 +63,6 @@ class StepAllocation:
     def layer_order(self, layer: int) -> tuple[tuple[int, int], ...]:
         return self.by_layer.get(layer, ())
 
-    def total(self) -> int:
-        return sum(e for allocs in self.by_layer.values() for _, e in allocs)
-
 
 class EvictionPlan:
     """(layer, head, token) slots to remove from the cache.
@@ -126,9 +123,6 @@ class EvictionPlan:
 
     def head_set(self, layer: int, head: int) -> frozenset[int]:
         return frozenset(self.head_lists()[layer][head])
-
-    def total(self) -> int:
-        return len(self.victims)
 
     def __eq__(self, other) -> bool:
         """The same dimensions and victims, whatever mask width they came from."""

@@ -129,7 +129,7 @@ class CacheMachine(RuleBasedStateMachine):
         if error is not None:
             expect_rejection(error, lambda: self.cache.apply_plan(plan))
             return
-        assert self.cache.apply_plan(plan) == plan.total()
+        assert self.cache.apply_plan(plan) == len(plan.victims)
         model.remove(plan.evicted)
 
     @rule(tail=st.integers(-2, 5))

@@ -8,8 +8,10 @@ import pytest
 
 from conftest import make_trace
 
+from thinkprune import cli
 from thinkprune.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, main
 from thinkprune.engine import DecodeConfig, run
+from thinkprune.errors import ProbeLeak
 from thinkprune.model import TinyModelConfig
 from thinkprune.policy import EvictionBudget, PolicyKind
 from thinkprune.scoring import default_probe
@@ -243,15 +245,29 @@ class TestRunCommand:
     def test_pruning_without_budget_exits_2(self, tmp_path, capsys):
         assert main(["run", "--policy", "ours", "--out", str(tmp_path / "x")]) == EXIT_INPUT
 
-    def test_engine_failure_exits_3_with_partial_results(self, tmp_path, capsys):
-        # the default 5-token prompt does not fit under max-seq 4:
-        # SequenceTooLong (decoding that reaches the limit stops instead)
+    def test_engine_failure_exits_3_with_partial_results(self, tmp_path, capsys, monkeypatch):
+        # the ours cell fails mid-run; the full cell still reports
+        def run_or_leak(config, prompt, decode):
+            if decode.policy is PolicyKind.HIERARCHICAL:
+                raise ProbeLeak("probe token left in the cache")
+            return run(config, prompt, decode)
+
+        monkeypatch.setattr(cli, "run", run_or_leak)
         out = tmp_path / "fail"
-        code = main(["run", "--policy", "ours", "--budget", "2", "--interval", "4",
-                     "--max-new", "40", "--max-seq", "4", "--out", str(out)])
+        code = main(["run", "--policy", "full,ours", "--budget", "2", "--interval", "4",
+                     "--max-new", "12", "--out", str(out)])
         assert code == EXIT_RUNTIME
-        assert "SequenceTooLong" in capsys.readouterr().err
+        assert "ProbeLeak" in capsys.readouterr().err
         assert (out / "report.csv").exists()
+        assert (out / "run_full.json").exists() and not (out / "run_ours.json").exists()
+
+    def test_prompt_longer_than_max_seq_exits_2(self, tmp_path, capsys):
+        # the default 5-token prompt does not fit under max-seq 4, which run
+        # refuses before the first forward
+        code = main(["run", "--policy", "ours", "--budget", "2", "--interval", "4",
+                     "--max-new", "40", "--max-seq", "4", "--out", str(tmp_path / "x")])
+        assert code == EXIT_INPUT
+        assert "SequenceTooLong" in capsys.readouterr().err
 
 
 class TestReportCommand:

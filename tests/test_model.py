@@ -1,4 +1,4 @@
-"""Tiny decoder: determinism, serialization, tokenizer, attention paths."""
+"""Tiny decoder: determinism, weights, tokenizer, attention paths."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from conftest import append_kv
 
 from thinkprune.cache import KvCacheState, ProtectedRegions
 from thinkprune.engine import decode_step
-from thinkprune.errors import InputFormatError, SequenceTooLong
+from thinkprune.errors import SequenceTooLong
 from thinkprune.model import (
     EOS_ID,
     NUM_RESERVED_IDS,
@@ -89,37 +89,20 @@ class TestDeterminism:
         assert not (a == b).all()
 
 
-class TestSerialization:
-    def test_round_trip_bitwise(self, tmp_path):
-        model = TinyDecoder(TinyModelConfig(rng_seed=9))
-        path = tmp_path / "weights.bin"
-        model.save(path)
-        loaded = TinyDecoder.load(path)
-        ids = [11, 22, 33, 44, 55]
-        _, a = _decode_sequence(model, ids)
-        _, b = _decode_sequence(loaded, ids)
-        assert (a == b).all()
-        for name in model.weight_names():
-            assert (model._weights32[name] == loaded._weights32[name]).all()
-
-    def test_truncated_file_rejected(self, tmp_path):
-        model = TinyDecoder(TinyModelConfig())
-        path = tmp_path / "weights.bin"
-        model.save(path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-17])
-        with pytest.raises(InputFormatError, match="truncated"):
-            TinyDecoder.load(path)
-
-    def test_header_is_json_line(self, tmp_path):
-        import json
-
-        model = TinyDecoder(TinyModelConfig(rng_seed=2))
-        path = tmp_path / "weights.bin"
-        model.save(path)
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert header["format"] == "tinydecoder-v1"
-        assert header["config"]["rng_seed"] == 2
+class TestWeights:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_weights_are_float32_values_under_fixed_names(self, seed):
+        config = TinyModelConfig(rng_seed=seed)
+        model = TinyDecoder(config)
+        names = ["embed"]
+        for layer in range(config.num_layers):
+            names += [f"layers.{layer}.{name}"
+                      for name in ("wq", "wk", "wv", "wo", "mlp_in", "mlp_out")]
+        names.append("unembed")
+        assert list(model._w) == names
+        for weight in model._w.values():
+            assert weight.dtype == np.float64
+            assert _bitwise_equal(weight.astype(np.float32).astype(np.float64), weight)
 
 
 class TestAttentionPaths:
@@ -164,7 +147,7 @@ class TestAttentionPaths:
         ids = [10, 21, 7, 33, 14, 5, 40]
         next_id, next_pos = ids[-1], len(ids) - 1
         # A 1-layer model's query depends only on the token and its position.
-        u = model._rms(model._w["embed"][next_id], model._w["layers.0.attn_norm"])
+        u = model._rms(model._w["embed"][next_id])
         queries = model._rope((u @ model._w["layers.0.wq"]).reshape(cfg.num_heads, cfg.head_dim), next_pos)
         victim = 3
         state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
@@ -262,7 +245,8 @@ class TestAttentionPaths:
             model.reference_forward([5, 6, 7], key_mask=mask)
 
 
-# The formulas forward_step used before its rewrite, kept verbatim.
+# The formulas forward_step used before its rewrite, kept verbatim but for
+# the norm gain, which was always one.
 def _silu_old(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -272,9 +256,9 @@ def _silu_old(x):
     return out
 
 
-def _rms_old(x, gain):
+def _rms_old(x):
     scale = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-6)
-    return x / scale * gain
+    return x / scale
 
 
 def _bitwise_equal(a, b):
@@ -307,13 +291,11 @@ class TestStepNumerics:
 
     def test_rms_matches_mean_formula_bitwise(self):
         model = TinyDecoder(TinyModelConfig(rng_seed=0))
-        rng = np.random.default_rng(1)
         for x in _numeric_cases(seed=2):
             x = x[np.abs(x) < 1e150]  # squares stay finite
-            gain = rng.standard_normal(x.size)
-            assert _bitwise_equal(model._rms(x, gain), _rms_old(x, gain))
+            assert _bitwise_equal(model._rms(x), _rms_old(x))
             rows = np.stack([x, -x, 2.0 * x])
-            assert _bitwise_equal(model._rms(rows, gain), _rms_old(rows, gain))
+            assert _bitwise_equal(model._rms(rows), _rms_old(rows))
 
     def test_tanh_silu_matches_silu_within_its_bound(self):
         from thinkprune.model import _silu, _silu_of_double
@@ -329,17 +311,6 @@ class TestTables:
 
     BENCH_SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16)
 
-    @staticmethod
-    def _with_gains(config, seed=0):
-        # every norm gain differs from 1, so folding a gain is not a no-op
-        model = TinyDecoder(config)
-        rng = np.random.default_rng(seed)
-        for name, weight in model._weights32.items():
-            if name.endswith("norm"):
-                model._weights32[name] = rng.uniform(0.5, 1.5, weight.shape).astype(np.float32)
-        model._refresh_working_copies()
-        return model
-
     def test_rotation_table_matches_rope_at_every_position(self):
         model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=512))
         cfg = model.config
@@ -352,7 +323,7 @@ class TestTables:
     def test_folded_products_match_the_unfolded_ones(self):
         from thinkprune.model import _inv_rms, _normed
 
-        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE))
+        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE))
         cfg, w = model.config, model._w
         inv_scale = 1.0 / np.sqrt(cfg.head_dim)
         rng = np.random.default_rng(4)
@@ -362,18 +333,18 @@ class TestTables:
 
         for _ in range(50):
             x = rng.standard_normal(cfg.model_dim) * 10.0 ** rng.uniform(-3, 3)
-            for layer, (wqkv, _wo, mlp_norm, mlp_in, _out) in enumerate(model._blocks):
-                u = model._rms(x, w[f"layers.{layer}.attn_norm"])
+            for layer, (wqkv, _wo, mlp_in, _out) in enumerate(model._blocks):
+                u = model._rms(x)
                 q, k, v = (u @ w[f"layers.{layer}.w{p}"] for p in "qkv")
                 assert close(_normed(x) @ wqkv, np.concatenate([q * inv_scale, k, v]))
-                half = (x * (0.5 * _inv_rms(x)) * mlp_norm) @ mlp_in
-                assert close(half, model._rms(x, w[f"layers.{layer}.mlp_norm"]) @ mlp_in / 2)
-            assert close(_normed(x) @ model._unembed, model._rms(x, w["final_norm"]) @ w["unembed"])
+                half = (x * (0.5 * _inv_rms(x))) @ mlp_in
+                assert close(half, u @ mlp_in / 2)
+            assert close(_normed(x) @ w["unembed"], model._rms(x) @ w["unembed"])
 
     def test_layer0_table_rows_equal_layer_0_of_the_forward(self):
         from thinkprune.model import _normed
 
-        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=80), seed=1)
+        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=80))
         cfg = model.config
         wqkv = model._blocks[0][0]
         assert model._layer0_qkv.shape == (cfg.vocab_size, 3 * cfg.model_dim)
@@ -388,27 +359,8 @@ class TestTables:
         assert _bitwise_equal(state.keys[0, :, 3], rotated[cfg.num_heads:])
         assert _bitwise_equal(state.values[0, :, 3], qkv[2 * cfg.num_heads:])
 
-    def test_load_rebuilds_every_table(self, tmp_path):
-        config = TinyModelConfig(rng_seed=1, max_seq_len=40)
-        model = self._with_gains(config, seed=2)
-        model._weights32["layers.1.wk"] = np.ones_like(model._weights32["layers.1.wk"])
-        model._weights32["embed"][3] *= 2
-        model._refresh_working_copies()
-        path = tmp_path / "model.bin"
-        model.save(path)
-        loaded = TinyDecoder.load(path)
-        fresh = TinyDecoder(config)
-        tables = ("_layer0_qkv", "_unembed", "_rotation")
-        for name in tables:
-            assert _bitwise_equal(getattr(loaded, name), getattr(model, name))
-        for got, want, default in zip(loaded._blocks, model._blocks, fresh._blocks):
-            assert all(_bitwise_equal(a, b) for a, b in zip(got, want))
-            assert not _bitwise_equal(got[0], default[0])
-        assert not _bitwise_equal(loaded._layer0_qkv, fresh._layer0_qkv)
-        assert not _bitwise_equal(loaded._unembed, fresh._unembed)
-
     def test_forward_matches_reference_at_every_width_with_dead_columns(self):
-        model = self._with_gains(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=400), seed=3)
+        model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=400))
         cfg = model.config
         ids = np.random.default_rng(7).integers(NUM_RESERVED_IDS, cfg.vocab_size, 400).tolist()
         state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(4, 0))
@@ -509,7 +461,7 @@ class TestInPlaceKv:
         assert _bitwise_equal(state.values[:, :, :length], values)
         # the new key and value are in the slot: layer 0's depend only on
         # the token and its position
-        u = model._rms(model._w["embed"][9], model._w["layers.0.attn_norm"])
+        u = model._rms(model._w["embed"][9])
         key = model._rope((u @ model._w["layers.0.wk"]).reshape(cfg.num_heads, cfg.head_dim), length)
         value = (u @ model._w["layers.0.wv"]).reshape(cfg.num_heads, cfg.head_dim)
         assert np.abs(state.keys[0, :, length] - key).max() < 1e-12

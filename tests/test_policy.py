@@ -67,13 +67,13 @@ class TestAllocate:
         step_scores = StepScores({0: ((0, 0.5),)})
         alloc = allocate(step_scores, seg, all_live, EvictionBudget(0))
         assert alloc.layer_order(0) == ()
-        assert alloc.total() == 0
+        assert sum(e for _, e in alloc.layer_order(0)) == 0
 
     def test_saturation(self):
         seg = make_segmentation(0, [3, 5, 2])
         step_scores = StepScores({0: ((0, 0.5), (1, 0.9), (2, 0.1))})
         alloc = allocate(step_scores, seg, all_live, EvictionBudget(100))
-        assert alloc.total() == 10
+        assert sum(e for _, e in alloc.layer_order(0)) == 10
         assert dict(alloc.layer_order(0)) == {0: 3, 1: 5, 2: 2}
 
     def test_score_ties_break_on_smaller_step_id(self):
@@ -164,7 +164,7 @@ class TestBuildPlan:
         scores = ScoreTensor(1, 1, {(0, 0): {t: 0.1 for t in range(4)}})
         step_scores = aggregate_step_scores(scores, seg, all_live)
         plan = build_plan(scores, step_scores, seg, all_live, EvictionBudget(0))
-        assert plan.total() == 0
+        assert len(plan.victims) == 0
 
     def test_budget_conservation(self, rng):
         for _ in range(60):
@@ -303,7 +303,7 @@ class TestEvictionPlanType:
             assert plan.counts.tolist() == sizes
             assert plan.evicted == {key: evicted[key] for key in keys}
             assert all(plan.head_set(*key) == evicted[key] for key in keys)
-            assert plan.total() == sum(len(tokens) for tokens in evicted.values())
+            assert len(plan.victims) == sum(len(tokens) for tokens in evicted.values())
             assert plan_to_dict(plan) == {"layers": [{"heads": h} for h in heads],
                                           "allocation": None}
             evicted_lists, counts = _plan_fields(plan)
@@ -315,7 +315,7 @@ class TestEvictionPlanType:
 class TestPlanRandom:
     def test_zero_budget(self):
         plan = plan_random(1, 1, 10, all_live, EvictionBudget(0), 7)
-        assert plan.total() == 0
+        assert len(plan.victims) == 0
 
     def test_same_seed_same_plan(self):
         a = plan_random(2, 2, 30, all_live, EvictionBudget(5), 11)
@@ -413,7 +413,7 @@ class TestPlanStreaming:
 
     def test_window_covers_sequence(self):
         plan = plan_streaming(1, 1, 10, all_live, 6, 5)
-        assert plan.total() == 0
+        assert len(plan.victims) == 0
 
     def test_zero_keep_evicts_everything_eligible(self):
         plan = plan_streaming(1, 1, 4, all_live, 0, 0)
