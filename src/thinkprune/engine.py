@@ -250,24 +250,22 @@ class RunRecord:
 
 
 def decode_step(state: KvCacheState, model: TinyDecoder, token_id: int, position: int) -> StepOutput:
-    """Forward one token over the live keys and commit the K/V slot the
-    forward wrote.
+    """Forward one token at next_index over the live keys; the forward
+    writes and commits its K/V slot.
 
     Softmax runs only over live positions per (layer, head). Raises
     SequenceTooLong past the model's maximum length, before mutating.
     """
-    out = model.forward_step(state, token_id, position)
-    state.append(position)
-    return out
+    return model.forward_step(state, token_id, position)
 
 
 def requery_logits(state: KvCacheState, model: TinyDecoder, token_id: int, position: int) -> np.ndarray:
     """Recompute a token's logits over the current (possibly pruned) cache.
 
-    Query-only pass: nothing is appended, the token's own K/V participate
-    only where they are still live.
+    Query-only pass below next_index: nothing is written or appended, and
+    the token's own K/V participate only where they are still live.
     """
-    return model.forward_step(state, token_id, position, include_new_kv=False).logits
+    return model.forward_step(state, token_id, position).logits
 
 
 def _plan_fields(plan: EvictionPlan) -> tuple[list, np.ndarray]:
@@ -279,7 +277,7 @@ def _plan_fields(plan: EvictionPlan) -> tuple[list, np.ndarray]:
 def kv_stats(state: KvCacheState) -> dict:
     """Live slots per (layer, head): their average and maximum over every
     (layer, head), the cache's eviction count, and the (layers, heads)
-    counts as nested lists. A run's occupancy rows and final_stats read it."""
+    counts as nested lists: the run record's final_stats."""
     counts = state.stats()
     flat = counts.ravel().tolist()
     return {"avg_kv": sum(flat) / len(flat), "peak_kv": max(flat),
@@ -378,7 +376,6 @@ def probe_cycle(
         for offset, pid in enumerate(probe_ids):
             out = model.forward_step(state, pid, base + offset,
                                      outputs="rows" if offset == last else "kv")
-            state.append(base + offset)
     finally:
         state.remove_suffix(base)
     record.ran_probe = True
@@ -492,7 +489,6 @@ def run(
     last = len(prompt_tokens) - 1
     for i, (tid, _text) in enumerate(prompt_tokens[:last]):
         model.forward_step(state, tid, i, outputs="kv")
-        state.append(i)
     logits = decode_step(state, model, prompt_tokens[last][0], last).logits
     tokens: list[Token] = [Token(i, tid, text) for i, (tid, text) in enumerate(prompt_tokens)]
     timings["prefill_ms"] = (perf_counter() - started) * 1e3
@@ -544,8 +540,8 @@ def run(
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:
                 on_probe(pre, state.live_sets(), record)
-        stats = kv_stats(state)
-        occupancy.append((len(generated), stats["avg_kv"], stats["peak_kv"],
+        counts = state.stats()
+        occupancy.append((len(generated), int(counts.sum()) / counts.size, int(counts.max()),
                           state.live_nonprompt_count(0, 0)))
         if on_step is not None:
             on_step(len(generated), state)

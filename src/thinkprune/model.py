@@ -110,7 +110,7 @@ class StepOutput:
     A field the forward did not compute is None: logits unless outputs is
     "logits", rows when outputs is "kv". A joining token's key and value
     are not returned: the forward writes them into the cache slot at
-    next_index, and append commits that slot.
+    next_index and commits that slot.
     """
 
     logits: np.ndarray | None
@@ -219,55 +219,50 @@ class TinyDecoder:
 
     # --- incremental path ---------------------------------------------------
 
-    def forward_step(
-        self,
-        cache,
-        token_id: int,
-        position: int,
-        *,
-        include_new_kv: bool = True,
-        outputs: str = "logits",
-    ) -> StepOutput:
+    def forward_step(self, cache, token_id: int, position: int, *,
+                     outputs: str = "logits") -> StepOutput:
         """One token forward over the live cache entries.
 
         Each layer runs one masked attention over all heads against the
         cache's first next_index positions, with dead positions scored -inf.
-        With include_new_kv, position must be the cache's next_index: the
-        token's own key/value are written straight into that cache slot
-        (growing the cache if it is full) and join the attention as its
-        last column, but live and next_index change only when the caller
-        commits the slot with append(position). Without include_new_kv the
-        token is assumed to be (possibly partially) represented in the
-        cache already, and attention runs over the live entries alone.
+        At position == next_index the token joins the cache: its own
+        key/value are written straight into that slot (growing the cache if
+        it is full) and join the attention as its last column, and once the
+        forward has run the slot is committed with append(position). Below
+        next_index the pass is query-only: the token is assumed to be
+        (possibly partially) represented in the cache already, attention
+        runs over the live entries alone, and nothing is written. Past
+        next_index is a ValueError. A forward that raises commits nothing.
 
         outputs names what the caller reads, and the forward stops once it
         has it: "logits" runs every layer through to the logits; "rows"
         stops after the last layer's softmax; "kv" stops after writing the
         last layer's key/value and skips that layer's attention, returning
         neither logits nor rows. Fields not computed are None (see
-        StepOutput). "rows" and "kv" serve tokens that join the cache, so
-        they require include_new_kv.
+        StepOutput). "rows" and "kv" serve tokens that join the cache.
         """
         if outputs not in ("logits", "rows", "kv"):
             raise ValueError(f'outputs must be "logits", "rows" or "kv", got {outputs!r}')
-        if outputs != "logits" and not include_new_kv:
-            raise ValueError(f'outputs={outputs!r} requires include_new_kv')
         cfg = self.config
         if position >= cfg.max_seq_len:
             raise SequenceTooLong(
                 f"position {position} exceeds max_seq_len {cfg.max_seq_len}"
             )
         n = cache.next_index
-        if include_new_kv:
-            if position != n:
-                raise ValueError(f"a new key/value must join at position {n}, got {position}")
+        if position > n:
+            raise ValueError(f"a token joins the cache at position {n}, got {position}")
+        joins = position == n
+        if joins:
             cache.reserve(n)
+        elif outputs != "logits":
+            raise ValueError(f"outputs={outputs!r} needs a token that joins at position {n}, "
+                             f"got {position}")
         else:
             empty = np.argwhere(~cache.live[:, :, :n].any(axis=2))
             if empty.size:
                 raise ValueError(f"no live keys to attend to at {tuple(empty[0].tolist())}")
         num_heads, head_dim = cfg.num_heads, cfg.head_dim
-        width = n + 1 if include_new_kv else n
+        width = n + 1 if joins else n
         dead = ~cache.live[:, :, :n]
         rows = np.empty((cfg.num_layers, num_heads, width))
         rotation = self._rotation[position]
@@ -285,7 +280,7 @@ class TinyDecoder:
             qk = qkv[:2 * num_heads] @ rotation
             keys = cache.keys[layer, :, :width]
             values = cache.values[layer, :, :width]
-            if include_new_kv:
+            if joins:
                 # the new key and value go through the same products as the
                 # cached ones, so a later requery of this token is bitwise equal
                 keys[:, n] = qk[num_heads:]
@@ -307,6 +302,8 @@ class TinyDecoder:
         logits = None
         if outputs == "logits":
             logits = _normed(x) @ self._w["unembed"]
+        if joins:
+            cache.append(position)
         return StepOutput(logits, None if outputs == "kv" else rows)
 
     # --- batch oracle path ----------------------------------------------------

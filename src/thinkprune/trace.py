@@ -337,10 +337,6 @@ def load_trace(path: str | Path) -> ReasoningTrace:
         return trace_from_dict(json.load(fh))
 
 
-def save_trace(trace: ReasoningTrace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), ensure_ascii=False), encoding="utf-8")
-
-
 def markers_from_dict(data: object) -> MarkerSet:
     if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
         raise InputFormatError("marker document must be a JSON array of strings")
@@ -361,17 +357,3 @@ def segmentation_to_dict(seg: Segmentation) -> dict:
             for step in seg.steps
         ]
     }
-
-
-def segmentation_from_dict(data: object) -> Segmentation:
-    if not isinstance(data, dict) or not isinstance(data.get("steps"), list):
-        raise InputFormatError('segmentation document must be an object with a "steps" list')
-    steps = []
-    for i, item in enumerate(data["steps"]):
-        try:
-            steps.append(Step(item["start"], item["end"], item.get("marker")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f'segmentation field "steps[{i}]" is malformed: {exc}') from exc
-    if not steps:
-        raise InputFormatError('segmentation field "steps" must be non-empty')
-    return Segmentation(tuple(steps), steps[-1].end)

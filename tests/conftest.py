@@ -28,7 +28,7 @@ FILLER_WORDS = (
 
 def append_kv(state, index: int, keys: np.ndarray, values: np.ndarray) -> None:
     """Write (layers, heads, head_dim) keys and values into slot index and
-    commit it, as a forward followed by KvCacheState.append does."""
+    commit it with KvCacheState.append, as a joining forward does."""
     state.reserve(index)
     state.keys[:, :, index] = keys
     state.values[:, :, index] = values

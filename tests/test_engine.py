@@ -190,8 +190,9 @@ class TestContextLimit:
 
 
 class TestKvStats:
-    """Occupancy rows and final_stats come from kv_stats, checked here on
-    caches whose heads hold different live counts."""
+    """Occupancy rows come from one stats() array per step and final_stats
+    from kv_stats, checked here on caches whose heads hold different live
+    counts."""
 
     @staticmethod
     def uneven_cache() -> KvCacheState:
@@ -216,7 +217,7 @@ class TestKvStats:
         assert [type(stats[key]) for key in ("avg_kv", "peak_kv", "evicted_total")] == \
             [float, int, int]
 
-    def test_run_rows_and_final_stats_follow_uneven_heads(self):
+    def test_run_rows_and_final_stats_follow_uneven_heads(self, monkeypatch):
         # on_step clears one live bit of head (0, 1), so every later row and
         # the final stats see heads with different counts
         model = TinyModelConfig(rng_seed=1)
@@ -225,7 +226,16 @@ class TestKvStats:
             if step == 3:
                 state.live[0, 1, 2] = False
 
+        summaries = []
+
+        def counting(state):
+            summaries.append(state.next_index)
+            return kv_stats(state)
+
+        monkeypatch.setattr(engine, "kv_stats", counting)
         record = run(model, PROMPT, make_config(max_new=6), on_step=on_step)
+        # the per-step rows build no kv_stats summary; only final_stats does
+        assert summaries == [record.prompt_len + 6]
         rows = record.to_dict()["occupancy"]
         prompt_len = record.prompt_len
         for step, avg_live, max_live, nonprompt in rows:

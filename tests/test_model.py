@@ -6,7 +6,6 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import append_kv
 
 from thinkprune.cache import KvCacheState, ProtectedRegions
 from thinkprune.engine import decode_step
@@ -121,7 +120,8 @@ class TestAttentionPaths:
         keep = 2
         victims = frozenset(set(range(5)) - {keep})
         state.apply_plan(EvictionPlan(1, 2, {(0, 0): victims, (0, 1): victims}))
-        out = model.forward_step(state, 9, 5, include_new_kv=False)
+        # a query-only pass at next_index - 1 attends the live keys alone
+        out = model.forward_step(state, 9, 4)
         one_hot = [0.0] * 5
         one_hot[keep] = 1.0
         assert out.rows.shape == (1, 2, 5)
@@ -136,7 +136,7 @@ class TestAttentionPaths:
         # with one live key the softmax weight is exactly 1, so the head
         # reads out exactly the stored value vector
         assert state.live_indices(0, 0) == (1,)
-        out = model.forward_step(state, 9, 3, include_new_kv=False)
+        out = model.forward_step(state, 9, 2)
         assert out.rows[0, 0].tolist() == [0.0, 1.0, 0.0]
 
     def test_evicting_zero_attention_key_barely_moves_logits(self):
@@ -150,15 +150,10 @@ class TestAttentionPaths:
         u = model._rms(model._w["embed"][next_id])
         queries = model._rope((u @ model._w["layers.0.wq"]).reshape(cfg.num_heads, cfg.head_dim), next_pos)
         victim = 3
-        state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim, ProtectedRegions(1, 0))
-        for position, tid in enumerate(ids[:-1]):
-            model.forward_step(state, tid, position)
-            keys = state.keys[:, :, position].copy()
-            if position == victim:
-                for head in range(cfg.num_heads):
-                    query = queries[head]
-                    keys[0, head] = -200.0 * query / np.linalg.norm(query)
-            append_kv(state, position, keys, state.values[:, :, position].copy())
+        state, _ = _decode_sequence(model, ids[:-1], prompt_len=1)
+        for head in range(cfg.num_heads):
+            query = queries[head]
+            state.keys[0, head, victim] = -200.0 * query / np.linalg.norm(query)
         kept = copy.deepcopy(state)
         out_kept = model.forward_step(kept, next_id, next_pos)
         for head in range(model.config.num_heads):
@@ -171,8 +166,8 @@ class TestAttentionPaths:
         rel = np.max(np.abs(out_kept.logits - out_pruned.logits) / (np.abs(out_pruned.logits) + 1e-9))
         assert rel < 1e-6
 
-    @pytest.mark.parametrize("include_new_kv", [True, False])
-    def test_rows_are_dense_and_zero_where_not_live(self, include_new_kv):
+    @pytest.mark.parametrize("joins", [True, False])
+    def test_rows_are_dense_and_zero_where_not_live(self, joins):
         model = TinyDecoder(TinyModelConfig(rng_seed=5))
         cfg = model.config
         ids = [10, 21, 7, 33, 14, 5]
@@ -180,9 +175,10 @@ class TestAttentionPaths:
         victims = {(0, 0): frozenset({1, 4}), (0, 1): frozenset({2, 3}),
                    (1, 0): frozenset({0}), (1, 1): frozenset({5})}
         state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, victims))
-        position = 6 if include_new_kv else 5
-        out = model.forward_step(state, 9, position, include_new_kv=include_new_kv)
-        width = 7 if include_new_kv else 6
+        # at next_index the token joins as column 6; below it, a query-only pass
+        position = 6 if joins else 5
+        out = model.forward_step(state, 9, position)
+        width = 7 if joins else 6
         assert out.rows.shape == (cfg.num_layers, cfg.num_heads, width)
         for (layer, head), evicted in victims.items():
             row = out.rows[layer, head]
@@ -198,14 +194,15 @@ class TestAttentionPaths:
         state, _ = _decode_sequence(model, [10, 21, 7])
         state.live[0, 1] = False
         with pytest.raises(ValueError, match=r"no live keys to attend to at \(0, 1\)"):
-            model.forward_step(state, 9, 2, include_new_kv=False)
+            model.forward_step(state, 9, 2)
 
     @pytest.mark.parametrize("position", [2, 4])
     def test_new_key_must_join_at_the_next_index(self, position):
+        # "kv" writes the token's key, which only a token at next_index has
         model = TinyDecoder(TinyModelConfig(rng_seed=1))
         state, _ = _decode_sequence(model, [10, 21, 7])
-        with pytest.raises(ValueError, match="position 3"):
-            model.forward_step(state, 9, position)
+        with pytest.raises(ValueError, match="position 3, got"):
+            model.forward_step(state, 9, position, outputs="kv")
 
     def test_positions_are_retained_after_eviction(self):
         # Evicting token 1 must leave survivors at their original rotary
@@ -416,7 +413,9 @@ class TestOutputs:
             assert (out.rows[0, 0, 2:4] == 0.0).all()
         else:
             assert out.rows is None
-        assert state.live.shape == full_state.live.shape
+        # every outputs commits the slot once, as the full forward does
+        assert state.next_index == full_state.next_index == length + 1
+        assert (state.live == full_state.live).all()
         assert _bitwise_equal(state.keys, full_state.keys)
         assert _bitwise_equal(state.values, full_state.values)
 
@@ -424,8 +423,8 @@ class TestOutputs:
     def test_early_stop_requires_a_joining_token(self, outputs):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         state = self._pruned_cache(model, 5)
-        with pytest.raises(ValueError, match="requires include_new_kv"):
-            model.forward_step(state, 9, 4, include_new_kv=False, outputs=outputs)
+        with pytest.raises(ValueError, match="needs a token that joins at position 5, got 4"):
+            model.forward_step(state, 9, 4, outputs=outputs)
 
     def test_unknown_outputs_rejected(self):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
@@ -435,10 +434,11 @@ class TestOutputs:
 
 
 class TestInPlaceKv:
-    """forward_step writes its new key/value into the cache slot at next_index."""
+    """forward_step writes its new key/value into the cache slot at next_index
+    and commits that slot; a query-only pass below next_index writes nothing."""
 
     @pytest.mark.parametrize("length", [5, 64])
-    def test_unappended_forward_leaves_cache_unchanged(self, length):
+    def test_joining_forward_commits_only_its_slot(self, length):
         # 64 fills the initial capacity, so the forward also grows the cache
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         cfg = model.config
@@ -453,10 +453,11 @@ class TestInPlaceKv:
         values = state.values[:, :, :length].copy()
         evicted = state.evicted_total
         model.forward_step(state, 9, length)
-        assert state.next_index == length
+        assert state.next_index == length + 1
         assert state.evicted_total == evicted == 6
         assert (state.live[:, :, :length] == live).all()
-        assert not state.live[:, :, length:].any()
+        assert state.live[:, :, length].all()
+        assert not state.live[:, :, length + 1:].any()
         assert _bitwise_equal(state.keys[:, :, :length], keys)
         assert _bitwise_equal(state.values[:, :, :length], values)
         # the new key and value are in the slot: layer 0's depend only on
@@ -466,12 +467,66 @@ class TestInPlaceKv:
         value = (u @ model._w["layers.0.wv"]).reshape(cfg.num_heads, cfg.head_dim)
         assert np.abs(state.keys[0, :, length] - key).max() < 1e-12
         assert np.abs(state.values[0, :, length] - value).max() < 1e-12
-        # and append commits the slot without writing it
-        keys, values = state.keys[:, :, length].copy(), state.values[:, :, length].copy()
-        state.append(length)
-        assert state.is_live(0, 0, length) and state.next_index == length + 1
-        assert _bitwise_equal(state.keys[:, :, length], keys)
-        assert _bitwise_equal(state.values[:, :, length], values)
+
+    @staticmethod
+    def _snapshot(state):
+        return (state.next_index, state.evicted_total, state.live.copy(),
+                state.keys.copy(), state.values.copy())
+
+    def _assert_unchanged(self, state, before):
+        next_index, evicted, live, keys, values = before
+        assert (state.next_index, state.evicted_total) == (next_index, evicted)
+        assert state.live.shape == live.shape and (state.live == live).all()
+        assert _bitwise_equal(state.keys, keys)
+        assert _bitwise_equal(state.values, values)
+
+    def test_query_below_next_index_writes_and_commits_nothing(self):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        state, _ = _decode_sequence(model, [10, 21, 7, 33, 14], prompt_len=1)
+        before = self._snapshot(state)
+        out = model.forward_step(state, 14, 4)
+        self._assert_unchanged(state, before)
+        assert out.rows.shape[2] == 5
+
+    @pytest.mark.parametrize("outputs", ["logits", "rows", "kv"])
+    @pytest.mark.parametrize("length", [5, 64])
+    def test_position_past_next_index_raises_before_mutating(self, outputs, length):
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        state, _ = _decode_sequence(model, [10 + (7 * i) % 50 for i in range(length)])
+        before = self._snapshot(state)
+        with pytest.raises(ValueError, match=f"joins the cache at position {length}, "
+                                             f"got {length + 1}"):
+            model.forward_step(state, 9, length + 1, outputs=outputs)
+        self._assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("length", [5, 64])
+    def test_forward_raising_mid_layer_commits_nothing(self, monkeypatch, length):
+        # the second MLP call is layer 1's, after that layer wrote its key/value
+        from thinkprune import model as model_module
+
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        state, _ = _decode_sequence(model, [10 + (7 * i) % 50 for i in range(length)])
+        live = state.live[:, :, :length].copy()
+        silu = model_module._silu_of_double
+        calls = []
+
+        def failing(g):
+            calls.append(g)
+            if len(calls) == 2:
+                raise ArithmeticError("injected")
+            return silu(g)
+
+        monkeypatch.setattr(model_module, "_silu_of_double", failing)
+        with pytest.raises(ArithmeticError, match="injected"):
+            model.forward_step(state, 9, length)
+        assert len(calls) == 2
+        assert state.next_index == length
+        assert (state.live[:, :, :length] == live).all()
+        assert not state.live[:, :, length:].any()
+        # the slot is free again: the next forward joins there
+        monkeypatch.setattr(model_module, "_silu_of_double", silu)
+        model.forward_step(state, 9, length)
+        assert state.next_index == length + 1
 
     @pytest.mark.parametrize("probe_at", [None, 50])
     def test_decode_and_probe_across_capacity_growth_match_reference(self, probe_at):

@@ -24,11 +24,9 @@ from thinkprune.trace import (
     default_marker_set,
     load_trace,
     markers_from_dict,
-    save_trace,
     segment,
-    segmentation_from_dict,
-    segmentation_to_dict,
     trace_from_dict,
+    trace_to_dict,
 )
 
 EXPECTED_MARKERS = (
@@ -301,7 +299,7 @@ class TestTraceFiles:
     def test_round_trip(self, tmp_path):
         trace = make_trace(["Q:", "So", " it", " is"], 1)
         path = tmp_path / "trace.json"
-        save_trace(trace, path)
+        path.write_text(json.dumps(trace_to_dict(trace)), encoding="utf-8")
         assert load_trace(path) == trace
 
     def test_missing_prompt_len_named(self):
@@ -315,12 +313,6 @@ class TestTraceFiles:
     def test_prompt_len_exceeding_tokens(self):
         with pytest.raises(InputFormatError, match="prompt_len"):
             trace_from_dict({"prompt_len": 3, "tokens": [{"id": 1, "text": "a"}]})
-
-    def test_segmentation_round_trip(self):
-        trace = make_trace(["Q:", "So", " it", ".", " Then", " done"], 1)
-        seg = segment(trace, default_marker_set())
-        data = json.loads(json.dumps(segmentation_to_dict(seg)))
-        assert segmentation_from_dict(data) == seg
 
     def test_markers_document_must_be_string_array(self):
         with pytest.raises(InputFormatError):

@@ -11,9 +11,10 @@ after pruning), and then times `TinyDecoder.forward_step` for the next
 position in each mode:
 
 - `logits`, `rows`, `kv`: the `outputs` keyword, with the token joining
-  the cache (its K/V slot is written but never committed, so every call
-  sees the same cache);
-- `requery`: `include_new_kv=False`, the query-only pass after a round.
+  the cache at next_index. The forward writes and commits its K/V slot,
+  and `remove_suffix(width)` retracts it so every call sees the same
+  cache; these figures include both the commit and the retraction;
+- `requery`: the query-only pass at next_index - 1, as after a round.
 
 Each figure is the fastest of REPEATS batches of CALLS calls, in µs per
 call: on a shared host, other load only ever adds time, so the fastest
@@ -62,10 +63,11 @@ def time_mode(model: TinyDecoder, state: KvCacheState, mode: str) -> float:
     width = state.next_index
     if mode == "requery":
         def call():
-            model.forward_step(state, 9, width - 1, include_new_kv=False)
+            model.forward_step(state, 9, width - 1)
     else:
         def call():
             model.forward_step(state, 9, width, outputs=mode)
+            state.remove_suffix(width)
     call()
     batches = []
     for _ in range(REPEATS):
