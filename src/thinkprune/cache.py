@@ -17,9 +17,6 @@ import numpy as np
 from .errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
 from .policy import EvictionPlan, Ranker, lowest_keyed
 
-# Token positions allocated up front; append doubles the arrays when full.
-_INITIAL_CAPACITY = 64
-
 
 @dataclass(frozen=True)
 class ProtectedRegions:
@@ -65,11 +62,14 @@ class KvCacheState:
     """Key/value storage plus one live mask per (layer, head), for one decode loop.
 
     keys and values have shape (layers, heads, capacity, head_dim) and live
-    has shape (layers, heads, capacity); position t holds token t. Capacity
-    doubles whenever a write reaches it (see reserve), and only positions
-    below next_index can be live. Each slot has one writer: the forward
-    writes a new token's key/value into the slot at next_index, and append
-    then commits that slot without touching its data.
+    has shape (layers, heads, capacity); position t holds token t. A new
+    cache has capacity 0, and the first joining forward reserves its
+    model's max_seq_len (see reserve), so a run allocates its arrays once.
+    Only positions below next_index can be live, so every scan of live
+    stops there and costs what the sequence holds, not the capacity. Each
+    slot has one writer: the forward writes a new token's key/value into the
+    slot at next_index, and append then commits that slot without touching
+    its data.
     """
 
     def __init__(
@@ -85,9 +85,9 @@ class KvCacheState:
         self.num_heads = num_heads
         self.head_dim = head_dim
         self.protected = protected
-        self.keys = np.zeros((num_layers, num_heads, _INITIAL_CAPACITY, head_dim))
+        self.keys = np.zeros((num_layers, num_heads, 0, head_dim))
         self.values = np.zeros_like(self.keys)
-        self.live = np.zeros((num_layers, num_heads, _INITIAL_CAPACITY), dtype=bool)
+        self.live = np.zeros((num_layers, num_heads, 0), dtype=bool)
         self.next_index = 0
         self.evicted_total = 0
 
@@ -96,10 +96,10 @@ class KvCacheState:
         return self.protected.prompt_len
 
     def live_indices(self, layer: int, head: int) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.live[layer, head]).tolist())
+        return tuple(np.flatnonzero(self.live[layer, head, :self.next_index]).tolist())
 
     def live_nonprompt_count(self, layer: int, head: int) -> int:
-        return int(np.count_nonzero(self.live[layer, head, self.prompt_len:]))
+        return int(np.count_nonzero(self.live[layer, head, self.prompt_len:self.next_index]))
 
     def is_live(self, layer: int, head: int, token: int) -> bool:
         return 0 <= token < self.next_index and bool(self.live[layer, head, token])
@@ -116,39 +116,48 @@ class KvCacheState:
 
     def live_sets(self) -> dict[tuple[int, int], frozenset[int]]:
         """Immutable snapshot of every (layer, head) live index set."""
+        live = self.live[:, :, :self.next_index]
         return {
-            (layer, head): frozenset(np.flatnonzero(self.live[layer, head]).tolist())
+            (layer, head): frozenset(np.flatnonzero(live[layer, head]).tolist())
             for layer in range(self.num_layers)
             for head in range(self.num_heads)
         }
 
     def live_arrays(self, layer: int, head: int) -> tuple[list[int], np.ndarray, np.ndarray]:
         """Live indices plus their key/value rows, oldest first."""
-        positions = np.flatnonzero(self.live[layer, head])
+        positions = np.flatnonzero(self.live[layer, head, :self.next_index])
         return positions.tolist(), self.keys[layer, head, positions], self.values[layer, head, positions]
 
-    def reserve(self, token_index: int) -> None:
-        """Make sure position token_index has storage, doubling the capacity
-        when it is the first position past the end. live and next_index do
-        not change."""
-        capacity = self.live.shape[2]
-        if token_index == capacity:
-            grow = ((0, 0), (0, 0), (0, capacity))
-            self.keys = np.pad(self.keys, grow + ((0, 0),))
-            self.values = np.pad(self.values, grow + ((0, 0),))
-            self.live = np.pad(self.live, grow)
+    def reserve(self, capacity: int) -> None:
+        """Make sure positions below capacity have storage. A smaller cache
+        gets new keys, values and live arrays of exactly that capacity,
+        holding the old contents; they come from np.zeros, so the pages of
+        slots never written are never touched. A joining forward reserves
+        its model's max_seq_len, which no position reaches. live and
+        next_index do not change."""
+        old = self.live.shape[2]
+        if capacity <= old:
+            return
+        shape = (self.num_layers, self.num_heads, capacity)
+        keys, values = np.zeros(shape + (self.head_dim,)), np.zeros(shape + (self.head_dim,))
+        live = np.zeros(shape, dtype=bool)
+        keys[:, :, :old], values[:, :, :old], live[:, :, :old] = self.keys, self.values, self.live
+        self.keys, self.values, self.live = keys, values, live
 
     def append(self, token_index: int) -> None:
         """Commit the key/value already written to slot token_index in every
         (layer, head): set its live bits and advance next_index.
 
-        The token index must be exactly the next unseen position.
+        The token index must be exactly the next unseen position, and its
+        slot must have storage (see reserve).
         """
         if token_index != self.next_index:
             raise ValueError(
                 f"appends must be sequential: expected {self.next_index}, got {token_index}"
             )
-        self.reserve(token_index)
+        if token_index >= self.live.shape[2]:
+            raise ValueError(f"slot {token_index} has no storage: capacity is "
+                             f"{self.live.shape[2]}")
         self.live[:, :, token_index] = True
         self.next_index += 1
 
@@ -200,14 +209,14 @@ class KvCacheState:
         """
         if start_index < 0:
             raise ValueError(f"remove_suffix start must be >= 0, got {start_index}")
-        removed = int(np.count_nonzero(self.live[:, :, start_index:]))
-        self.live[:, :, start_index:] = False
+        removed = int(np.count_nonzero(self.live[:, :, start_index:self.next_index]))
+        self.live[:, :, start_index:self.next_index] = False
         self.next_index = min(self.next_index, start_index)
         return removed
 
     def stats(self) -> np.ndarray:
         """(layers, heads) count of live tokens per head."""
-        return np.add.reduce(self.live, axis=2, dtype=np.intp)
+        return np.add.reduce(self.live[:, :, :self.next_index], axis=2, dtype=np.intp)
 
 
 def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> int:
@@ -224,8 +233,8 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> in
         raise BudgetInfeasible(
             f"max_slots {budget.max_slots} cannot hold recent window {recent}"
         )
-    overflow = np.maximum(np.add.reduce(state.live[:, :, state.prompt_len:], axis=2,
-                                        dtype=np.intp) + 1 - budget.max_slots, 0)
+    nonprompt = state.live[:, :, state.prompt_len:state.next_index]
+    overflow = np.maximum(np.add.reduce(nonprompt, axis=2, dtype=np.intp) + 1 - budget.max_slots, 0)
     if not overflow.any():
         return 0
     eligible = state.evictable()

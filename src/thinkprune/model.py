@@ -172,7 +172,7 @@ class TinyDecoder:
         self._inv_freq = ROPE_BASE ** (-np.arange(half, dtype=np.float64) * 2.0 / config.head_dim)
         # forward_step's working set: one tuple per layer whose (d, 3d)
         # wq|wk|wv matrix carries 1/sqrt(head_dim) on its q columns, layer
-        # 0's Q/K/V per token id, and one rotation matrix per position
+        # 0's Q/K/V per token id, and each position's rotation entries
         blocks = []
         for layer in range(config.num_layers):
             wqkv = np.concatenate([w[f"layers.{layer}.w{p}"] for p in "qkv"], axis=1)
@@ -184,17 +184,16 @@ class TinyDecoder:
         # alone; each row is the product forward_step computes at later layers
         wqkv0 = blocks[0][0]
         self._layer0_qkv = np.stack([_normed(x) @ wqkv0 for x in w["embed"]])
-        # v @ rotation[p] is _rope(v, p): the halves (x1, x2) of v become
-        # (x1 cos - x2 sin, x2 cos + x1 sin)
+        # a position's rotation matrix has 2 head_dim nonzero entries: row p
+        # of _rotation_entries holds them, at the flat indices _rotation_index
+        # (see _rotation_at)
         angles = np.arange(config.max_seq_len, dtype=np.float64)[:, None] * self._inv_freq
         cos, sin = np.cos(angles), np.sin(angles)
         first, second = np.arange(half), np.arange(half, config.head_dim)
-        rotation = np.zeros((config.max_seq_len, config.head_dim, config.head_dim))
-        rotation[:, first, first] = cos
-        rotation[:, second, second] = cos
-        rotation[:, second, first] = -sin
-        rotation[:, first, second] = sin
-        self._rotation = rotation
+        rows = np.concatenate([first, second, second, first])
+        cols = np.concatenate([first, second, first, second])
+        self._rotation_index = rows * config.head_dim + cols
+        self._rotation_entries = np.concatenate([cos, cos, -sin, sin], axis=1)
 
     # --- numerics ---------------------------------------------------------
 
@@ -217,6 +216,14 @@ class TinyDecoder:
         x2 = heads[..., half:]
         return np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
 
+    def _rotation_at(self, position: int) -> np.ndarray:
+        """The (head_dim, head_dim) matrix R with v @ R == _rope(v, position):
+        the halves (x1, x2) of v become (x1 cos - x2 sin, x2 cos + x1 sin)."""
+        head_dim = self.config.head_dim
+        rotation = np.zeros(head_dim * head_dim)
+        rotation[self._rotation_index] = self._rotation_entries[position]
+        return rotation.reshape(head_dim, head_dim)
+
     # --- incremental path ---------------------------------------------------
 
     def forward_step(self, cache, token_id: int, position: int, *,
@@ -225,14 +232,17 @@ class TinyDecoder:
 
         Each layer runs one masked attention over all heads against the
         cache's first next_index positions, with dead positions scored -inf.
-        At position == next_index the token joins the cache: its own
-        key/value are written straight into that slot (growing the cache if
-        it is full) and join the attention as its last column, and once the
-        forward has run the slot is committed with append(position). Below
-        next_index the pass is query-only: the token is assumed to be
-        (possibly partially) represented in the cache already, attention
-        runs over the live entries alone, and nothing is written. Past
-        next_index is a ValueError. A forward that raises commits nothing.
+        At position == next_index the token joins the cache: the first
+        joining forward sizes the cache to max_seq_len positions (see
+        KvCacheState.reserve), the token's own key/value are written straight
+        into its slot and join the attention as its last column, and once
+        the forward has run the slot is committed with append(position). At
+        next_index - 1 the pass is query-only: it requeries the cache's last
+        token, which is (possibly partially) represented in the cache
+        already, attention runs over the live entries alone, and nothing is
+        written. Any other position is a ValueError, raised before anything
+        changes: an earlier query would see the keys of later tokens. A
+        forward that raises commits nothing.
 
         outputs names what the caller reads, and the forward stops once it
         has it: "logits" runs every layer through to the logits; "rows"
@@ -253,9 +263,12 @@ class TinyDecoder:
             raise ValueError(f"a token joins the cache at position {n}, got {position}")
         joins = position == n
         if joins:
-            cache.reserve(n)
+            cache.reserve(cfg.max_seq_len)
         elif outputs != "logits":
             raise ValueError(f"outputs={outputs!r} needs a token that joins at position {n}, "
+                             f"got {position}")
+        elif position != n - 1:
+            raise ValueError(f"a query-only pass requeries the last token, at position {n - 1}, "
                              f"got {position}")
         else:
             empty = np.argwhere(~cache.live[:, :, :n].any(axis=2))
@@ -265,7 +278,7 @@ class TinyDecoder:
         width = n + 1 if joins else n
         dead = ~cache.live[:, :, :n]
         rows = np.empty((cfg.num_layers, num_heads, width))
-        rotation = self._rotation[position]
+        rotation = self._rotation_at(position)
         # the layer after whose K/V write ("kv") or softmax ("rows") the forward stops
         last = cfg.num_layers - 1
         stop_at_kv = last if outputs == "kv" else -1

@@ -28,8 +28,10 @@ FILLER_WORDS = (
 
 def append_kv(state, index: int, keys: np.ndarray, values: np.ndarray) -> None:
     """Write (layers, heads, head_dim) keys and values into slot index and
-    commit it with KvCacheState.append, as a joining forward does."""
-    state.reserve(index)
+    commit it with KvCacheState.append, as a joining forward does. The cache
+    is grown only to index + 1 positions, so next_index reaches its capacity
+    after every append."""
+    state.reserve(index + 1)
     state.keys[:, :, index] = keys
     state.values[:, :, index] = values
     state.append(index)

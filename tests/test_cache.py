@@ -31,6 +31,7 @@ from thinkprune.policy import (
 def fill_cache(num_layers, num_heads, head_dim, prompt_len, total, recent=0, seed=0):
     rng = np.random.default_rng(seed)
     state = KvCacheState(num_layers, num_heads, head_dim, ProtectedRegions(prompt_len, recent))
+    state.reserve(total + 1)  # and storage for one more commit
     for i in range(total):
         keys = rng.standard_normal((num_layers, num_heads, head_dim))
         values = rng.standard_normal((num_layers, num_heads, head_dim))

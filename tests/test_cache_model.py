@@ -1,9 +1,11 @@
 """Model-based test: KvCacheState against a naive per-(layer, head) list reference.
 
-Random sequences of appends, valid and invalid eviction plans, suffix
-removals and budget enforcement drive the cache and a dict-of-lists model
-side by side. After every operation, accepted or rejected, every public
-view of the cache, the evictable mask included, must match the model.
+Random sequences of appends, reserves, valid and invalid eviction plans,
+suffix removals and budget enforcement drive the cache and a dict-of-lists
+model side by side. Each append grows the cache only to its own slot unless
+a reserve made room ahead, so next_index often sits at the capacity. After
+every operation, accepted or rejected, every public view of the cache, the
+evictable mask included, must match the model.
 """
 
 from __future__ import annotations
@@ -13,19 +15,11 @@ import pytest
 from conftest import append_kv
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from thinkprune import cache as cache_module
 from thinkprune.cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
 from thinkprune.errors import BudgetInfeasible, ProtectedTokenEviction, UnknownToken
 from thinkprune.policy import EvictionPlan, oldest_first, random_victims
-
-
-@pytest.fixture(autouse=True)
-def one_slot_initial_capacity(monkeypatch):
-    # Every cache starts with room for one token, so appends cross many
-    # doublings and next_index often sits exactly at the capacity.
-    monkeypatch.setattr(cache_module, "_INITIAL_CAPACITY", 1)
 
 
 def expect_rejection(error, call):
@@ -102,6 +96,19 @@ class CacheMachine(RuleBasedStateMachine):
     def append_out_of_order(self, offset):
         expect_rejection(ValueError, lambda: self.cache.append(self.model.next_index + offset))
 
+    @rule(extra=st.integers(0, 3))
+    def reserve(self, extra):
+        # append_kv grows the cache to next_index + 1 at a time; a larger
+        # reserve keeps every slot's contents in the new arrays
+        capacity = self.model.next_index + extra
+        self.cache.reserve(capacity)
+        assert self.cache.live.shape[2] >= capacity
+
+    @precondition(lambda self: self.cache.live.shape[2] == self.model.next_index)
+    @rule()
+    def append_without_storage(self):
+        expect_rejection(ValueError, lambda: self.cache.append(self.model.next_index))
+
     @rule(data=st.data(), valid=st.booleans())
     def apply_plan(self, data, valid):
         num_layers, num_heads, _ = self.shape
@@ -173,6 +180,8 @@ class CacheMachine(RuleBasedStateMachine):
         cache, model = self.cache, self.model
         assert cache.next_index == model.next_index
         assert cache.evicted_total == model.evicted_total
+        assert cache.keys.shape == cache.values.shape == cache.live.shape + (self.shape[2],)
+        assert not cache.live[:, :, model.next_index:].any()
         counts = {}
         for (layer, head), entries in model.heads.items():
             tokens = [t for t, _k, _v in entries]

@@ -198,8 +198,8 @@ class TestKvStats:
     def uneven_cache() -> KvCacheState:
         # per-head plans, then a suffix removal: live counts [[1, 0], [2, 3]]
         state = KvCacheState(2, 2, 4, ProtectedRegions(0, 0))
+        state.reserve(4)
         for index in range(4):
-            state.reserve(index)
             state.append(index)
         state.apply_plan(EvictionPlan(2, 2, {(0, 0): [1, 2, 3], (0, 1): [0, 1, 2],
                                              (1, 0): [0], (1, 1): [3]}))

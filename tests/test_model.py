@@ -312,10 +312,28 @@ class TestTables:
         model = TinyDecoder(TinyModelConfig(**self.BENCH_SHAPE, max_seq_len=512))
         cfg = model.config
         heads = np.random.default_rng(3).standard_normal((2 * cfg.num_heads, cfg.head_dim))
-        assert model._rotation.shape == (cfg.max_seq_len, cfg.head_dim, cfg.head_dim)
+        # the dense (max_seq_len, head_dim, head_dim) table that _rotation_at replaces
+        half = cfg.head_dim // 2
+        angles = np.arange(cfg.max_seq_len, dtype=np.float64)[:, None] * model._inv_freq
+        cos, sin = np.cos(angles), np.sin(angles)
+        first, second = np.arange(half), np.arange(half, cfg.head_dim)
+        dense = np.zeros((cfg.max_seq_len, cfg.head_dim, cfg.head_dim))
+        dense[:, first, first] = cos
+        dense[:, second, second] = cos
+        dense[:, second, first] = -sin
+        dense[:, first, second] = sin
         for position in range(cfg.max_seq_len):
+            rotation = model._rotation_at(position)
+            assert _bitwise_equal(rotation, dense[position])
             want = model._rope(heads, position)
-            assert np.abs(heads @ model._rotation[position] - want).max() <= 1e-15
+            assert np.abs(heads @ rotation - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("head_dim", [2, 16, 64])
+    def test_position_table_holds_2_head_dim_numbers_per_position(self, head_dim):
+        model = TinyDecoder(TinyModelConfig(num_heads=1, model_dim=head_dim, head_dim=head_dim,
+                                            max_seq_len=300))
+        assert model._rotation_entries.nbytes <= 300 * 2 * head_dim * 8
+        assert model._rotation_index.shape == (2 * head_dim,)
 
     def test_folded_products_match_the_unfolded_ones(self):
         from thinkprune.model import _inv_rms, _normed
@@ -352,7 +370,7 @@ class TestTables:
         state, _ = _decode_sequence(model, [10, 21, 7], prompt_len=1)
         model.forward_step(state, 9, 3, outputs="kv")
         qkv = model._layer0_qkv[9].reshape(3 * cfg.num_heads, cfg.head_dim)
-        rotated = qkv[:2 * cfg.num_heads] @ model._rotation[3]
+        rotated = qkv[:2 * cfg.num_heads] @ model._rotation_at(3)
         assert _bitwise_equal(state.keys[0, :, 3], rotated[cfg.num_heads:])
         assert _bitwise_equal(state.values[0, :, 3], qkv[2 * cfg.num_heads:])
 
@@ -395,7 +413,6 @@ class TestOutputs:
         }))
         return state
 
-    # 63 fills the initial 64 slots with the new token, 64 grows the cache for it
     @pytest.mark.parametrize("length", [5, 63, 64])
     @pytest.mark.parametrize("outputs", ["rows", "kv"])
     def test_early_stop_matches_the_full_forward_bitwise(self, length, outputs):
@@ -439,7 +456,6 @@ class TestInPlaceKv:
 
     @pytest.mark.parametrize("length", [5, 64])
     def test_joining_forward_commits_only_its_slot(self, length):
-        # 64 fills the initial capacity, so the forward also grows the cache
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
         cfg = model.config
         ids = [10 + (7 * i) % 50 for i in range(length)]
@@ -452,7 +468,12 @@ class TestInPlaceKv:
         keys = state.keys[:, :, :length].copy()
         values = state.values[:, :, :length].copy()
         evicted = state.evicted_total
+        arrays = (state.keys, state.values, state.live)
         model.forward_step(state, 9, length)
+        # written in place: the cache was sized to max_seq_len by its first join
+        assert all(now is before for now, before in zip((state.keys, state.values, state.live),
+                                                         arrays))
+        assert state.live.shape[2] == cfg.max_seq_len
         assert state.next_index == length + 1
         assert state.evicted_total == evicted == 6
         assert (state.live[:, :, :length] == live).all()
@@ -487,6 +508,19 @@ class TestInPlaceKv:
         out = model.forward_step(state, 14, 4)
         self._assert_unchanged(state, before)
         assert out.rows.shape[2] == 5
+
+    @pytest.mark.parametrize("position", [-1, 0, 3])
+    def test_query_only_pass_runs_only_at_the_last_position(self, position):
+        # an earlier query would attend the keys of the tokens after it
+        model = TinyDecoder(TinyModelConfig(rng_seed=2))
+        ids = [10, 21, 7, 33, 14]
+        state, _ = _decode_sequence(model, ids, prompt_len=1)
+        before = self._snapshot(state)
+        with pytest.raises(ValueError, match=f"at position 4, got {position}"):
+            model.forward_step(state, ids[position], position)
+        self._assert_unchanged(state, before)
+        logits = model.forward_step(state, ids[4], 4).logits
+        assert np.abs(logits - model.reference_forward(ids)[4]).max() <= 1e-12
 
     @pytest.mark.parametrize("outputs", ["logits", "rows", "kv"])
     @pytest.mark.parametrize("length", [5, 64])
@@ -529,10 +563,10 @@ class TestInPlaceKv:
         assert state.next_index == length + 1
 
     @pytest.mark.parametrize("probe_at", [None, 50])
-    def test_decode_and_probe_across_capacity_growth_match_reference(self, probe_at):
-        # The cache starts with room for 64 tokens. Without a probe, decoding
-        # itself crosses that; with one, the 25 probe tokens at 50-74 do,
-        # and decoding resumes over the grown, pruned cache.
+    def test_decode_and_probe_in_one_allocation_match_reference(self, probe_at):
+        # The first join sizes the cache to max_seq_len. Decoding 110 tokens,
+        # with or without the 25 probe tokens at 50-74 and the pruned cache
+        # decoding resumes over, writes into the same arrays throughout.
         from thinkprune.engine import probe_cycle
         from thinkprune.policy import EvictionBudget, PolicyKind
         from thinkprune.scoring import default_probe
@@ -545,8 +579,11 @@ class TestInPlaceKv:
         state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim,
                              ProtectedRegions(prompt_len, 0))
         masks = np.zeros((cfg.num_layers, cfg.num_heads, len(ids), len(ids)), dtype=bool)
-        logits = []
-        for position, tid in enumerate(ids):
+        logits = [decode_step(state, model, ids[0], 0).logits]
+        masks[:, :, 0, 0] = True
+        arrays = (state.keys, state.values, state.live)
+        assert state.live.shape[2] == cfg.max_seq_len
+        for position, tid in enumerate(ids[1:], start=1):
             if position == probe_at:
                 trace = ReasoningTrace(
                     tuple(Token(i, t, token_text(t)) for i, t in enumerate(ids[:position])),
@@ -556,12 +593,12 @@ class TestInPlaceKv:
                                         PolicyKind.RANDOM, EvictionBudget(6),
                                         eviction_seed=1)
                 assert record.ran_probe and record.evicted_total > 0
-                assert state.live.shape[2] == 128
             for (layer, head), live in state.live_sets().items():
                 masks[layer, head, position, list(live)] = True
             masks[:, :, position, position] = True
             logits.append(decode_step(state, model, tid, position).logits)
-        assert state.live.shape[2] == 128
+        assert all(now is before for now, before in zip((state.keys, state.values, state.live),
+                                                         arrays))
         ref = model.reference_forward(ids, key_mask=masks)
         rel = np.max(np.abs(np.stack(logits) - ref) / (np.abs(ref) + 1e-9))
         assert rel < 1e-6

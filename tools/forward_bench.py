@@ -20,6 +20,12 @@ Each figure is the fastest of REPEATS batches of CALLS calls, in µs per
 call: on a shared host, other load only ever adds time, so the fastest
 batch is the steadiest estimate. Run it in two checkouts, alternating, to
 compare them.
+
+Next to the timings it prints the bytes each structure holds: the model's
+position table, layer-0 table and fused layer blocks, and at each width the
+cache's keys, values and live mask, allocated (capacity) and in the slots
+below the width. The cache is built as a run builds it, by joining
+forwards, so its capacity is the model's max_seq_len from the first one.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16
 WIDTHS = (16, 128, 400)
 PROMPT_LEN = 8
 MODES = ("logits", "rows", "kv", "requery")
+CACHE_ARRAYS = ("keys", "values", "live")
 CALLS = 100
 REPEATS = 15
 
@@ -78,13 +85,30 @@ def time_mode(model: TinyDecoder, state: KvCacheState, mode: str) -> float:
     return min(batches)
 
 
+def model_bytes(model: TinyDecoder) -> dict[str, int]:
+    return {
+        "position table": model._rotation_entries.nbytes + model._rotation_index.nbytes,
+        "layer-0 table": model._layer0_qkv.nbytes,
+        "fused blocks": sum(array.nbytes for block in model._blocks for array in block),
+    }
+
+
 def main() -> int:
     model = TinyDecoder(TinyModelConfig(max_seq_len=max(WIDTHS) + 1, **SHAPE))
     print(f"{'width':>6}" + "".join(f"{mode:>10}" for mode in MODES) + "   (µs per forward_step)")
+    held = {}
     for width in WIDTHS:
         state = pruned_cache(model, width)
         figures = [time_mode(model, state, mode) for mode in MODES]
         print(f"{width:>6}" + "".join(f"{f:>10.1f}" for f in figures))
+        held[width] = [getattr(state, name) for name in CACHE_ARRAYS]
+    print(f"\n{'width':>6}" + "".join(f"{name:>16}" for name in CACHE_ARRAYS)
+          + "   (cache bytes: allocated / below width)")
+    for width, arrays in held.items():
+        print(f"{width:>6}" + "".join(f"{f'{a.nbytes}/{a[:, :, :width].nbytes}':>16}"
+                                      for a in arrays))
+    print(f"\nmodel, max_seq_len {model.config.max_seq_len}: "
+          + ", ".join(f"{name} {size}" for name, size in model_bytes(model).items()) + " bytes")
     return 0
 
 
