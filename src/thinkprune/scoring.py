@@ -12,7 +12,6 @@ import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,10 +82,13 @@ def default_probe(interval_p: int = DEFAULT_PRUNING_INTERVAL) -> ProbeConfig:
 class ScoreTensor:
     """Per-(layer, head) importance score of every scored reasoning token.
 
-    Held as two (layers, heads, width) arrays: scored marks the scored
-    slots and values holds their scores, 0.0 elsewhere. Build one from a
-    {(layer, head): {token: score}} mapping, or with from_arrays.
+    Held as two (layers, heads, width) arrays and nothing else: scored
+    marks the scored slots and values holds their scores, 0.0 elsewhere.
+    Build one from a {(layer, head): {token: score}} mapping, or with
+    from_arrays. The slots leave no room to cache a view on a tensor.
     """
+
+    __slots__ = ("num_layers", "num_heads", "scored", "values")
 
     def __init__(self, num_layers: int, num_heads: int,
                  scores: Mapping[tuple[int, int], Mapping[int, float]]):
@@ -129,23 +131,16 @@ class ScoreTensor:
         """values cut or padded with 0.0 to width."""
         return _fit(self.values, width)
 
-    @cached_property
-    def scores(self) -> dict[tuple[int, int], dict[int, float]]:
-        """{(layer, head): {scored token: score}} for every (layer, head)."""
-        return {
-            (layer, head): dict(zip(np.flatnonzero(self.scored[layer, head]).tolist(),
-                                    self.values[layer, head, self.scored[layer, head]].tolist()))
-            for layer in range(self.num_layers)
-            for head in range(self.num_heads)
-        }
-
     def head_scores(self, layer: int, head: int) -> Mapping[int, float]:
-        return self.scores.get((layer, head), {})
+        """{scored token: score} at (layer, head), tokens ascending."""
+        scored = self.scored[layer, head]
+        tokens = np.flatnonzero(scored).tolist()
+        return dict(zip(tokens, self.values[layer, head, scored].tolist()))
 
     def __iter__(self):
         """(layer, head, [(token, score), ...]) for every (layer, head) in
-        order, each head's scored tokens ascending. Nothing is cached, so a
-        tensor held by a run record stays a few arrays, cheap to free."""
+        order, each head's scored tokens ascending, read from the two arrays
+        on each call."""
         pairs = list(zip(np.nonzero(self.scored)[2].tolist(), self.values[self.scored].tolist()))
         start = 0
         for index, end in enumerate(np.cumsum(np.count_nonzero(self.scored, axis=2)).tolist()):

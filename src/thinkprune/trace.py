@@ -102,9 +102,6 @@ class ReasoningTrace:
                 f"prompt_len {self.prompt_len} outside [0, {len(self.tokens)}]"
             )
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     @property
     def reason_start(self) -> int:
         return self.prompt_len
@@ -187,9 +184,6 @@ class Step:
     def __post_init__(self) -> None:
         if self.start >= self.end:
             raise ValueError(f"step span [{self.start}, {self.end}) is empty")
-
-    def __len__(self) -> int:
-        return self.end - self.start
 
 
 @dataclass(frozen=True)

@@ -513,6 +513,33 @@ class TestProbeCycle:
         assert last.skipped and last.skip_reason == "no-room"
         assert not last.ran_probe
 
+    def test_only_ours_reads_the_probe_scores(self, monkeypatch):
+        # The same scored slots with reversed scores: random, h2o and
+        # streaming plan without the probe's scores, so their generated
+        # ids, evictions and occupancy must not move; ours ranks by them.
+        cfg = TinyModelConfig(rng_seed=3)
+
+        def outcome(policy):
+            record = run(cfg, PROMPT, make_config(policy=policy, budget=EvictionBudget(3),
+                                                  max_new=60, interval=8))
+            assert record.probe_rounds > 0
+            return (record.generated_ids, [rec.evicted for rec in record.probe_records],
+                    record.occupancy.tolist())
+
+        before = {policy: outcome(policy) for policy in PolicyKind}
+        original = engine.extract_token_scores
+
+        def reversed_scores(*args, **kwargs):
+            tensor = original(*args, **kwargs)
+            return ScoreTensor.from_arrays(tensor.values.max(initial=0.0) - tensor.values,
+                                           tensor.scored)
+
+        monkeypatch.setattr(engine, "extract_token_scores", reversed_scores)
+        after = {policy: outcome(policy) for policy in PolicyKind}
+        for policy in (PolicyKind.RANDOM, PolicyKind.H2O, PolicyKind.STREAMING):
+            assert after[policy] == before[policy], policy
+        assert after[PolicyKind.HIERARCHICAL] != before[PolicyKind.HIERARCHICAL]
+
 
 class Fault(Exception):
     """Raised by an injected fault."""
@@ -702,8 +729,8 @@ class TestH2OWiring:
                                                  rows[layer, head, positions].tolist()):
                             acc[token] = acc.get(token, 0.0) + float(weight)
                 hexed = {key: {t: v.hex() for t, v in acc.items()} for key, acc in per_head.items()}
-                assert {key: {t: v.hex() for t, v in acc.items()}
-                        for key, acc in self.history().scores.items()} == hexed
+                assert {(layer, head): {t: v.hex() for t, v in pairs}
+                        for layer, head, pairs in self.history()} == hexed
                 checked.append(rows.shape[2])
 
         monkeypatch.setattr(engine, "decode_step", remember_cache)

@@ -93,6 +93,8 @@ class TestExtractTokenScores:
             assert tensor.head_scores(layer, head) == {
                 t: weights[t] for t in range(1, 8)
             }
+        # a tensor holds its dimensions and two arrays, and nothing is cached on it
+        assert not hasattr(tensor, "__dict__")
 
     def test_rows_narrower_than_reasoning_region_rejected(self):
         trace = make_trace(["p", " a", " b", " c"], 1)

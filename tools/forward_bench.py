@@ -19,7 +19,10 @@ position in each mode:
 Each figure is the fastest of REPEATS batches of CALLS calls, in µs per
 call: on a shared host, other load only ever adds time, so the fastest
 batch is the steadiest estimate. Run it in two checkouts, alternating, to
-compare them.
+compare them. The model's max_seq_len is the widest width plus one. The
+widths 1024 and 2048 show what dead columns cost on long caches. The run
+takes about 12 s on a 2-core x86 host, most of it decoding and timing
+those two widths.
 
 Next to the timings it prints the bytes each structure holds: the model's
 position table, layer-0 table and fused layer blocks, and at each width the
@@ -45,7 +48,7 @@ from thinkprune.model import TinyDecoder, TinyModelConfig  # noqa: E402
 from thinkprune.policy import EvictionPlan  # noqa: E402
 
 SHAPE = dict(vocab_size=64, num_layers=4, num_heads=4, model_dim=64, head_dim=16, rng_seed=0)
-WIDTHS = (16, 128, 400)
+WIDTHS = (16, 128, 400, 1024, 2048)
 PROMPT_LEN = 8
 MODES = ("logits", "rows", "kv", "requery")
 CACHE_ARRAYS = ("keys", "values", "live")
