@@ -34,20 +34,22 @@ class ProtectedRegions:
 class CacheBudget:
     """Hard cap on live non-prompt slots per (layer, head), enforced at every append.
 
-    recent_window defaults to half of max_slots.
+    Its recent window is half the cap, as in H2O, so each capped append
+    finds a victim outside the window.
     """
 
     max_slots: int
     ratio: float | None = None
-    recent_window: int | None = None
 
     def __post_init__(self) -> None:
         if self.ratio is not None and not 0.0 < self.ratio <= 1.0:
             raise ValueError(f"ratio must be in (0, 1], got {self.ratio}")
         if self.max_slots < 1:
             raise ValueError("a cache budget requires max_slots >= 1")
-        if self.recent_window is None:
-            object.__setattr__(self, "recent_window", self.max_slots // 2)
+
+    @property
+    def recent_window(self) -> int:
+        return self.max_slots // 2
 
     @classmethod
     def from_ratio(cls, ratio: float, full_kv_len: float) -> "CacheBudget":

@@ -92,11 +92,6 @@ class DecodeConfig:
         if self.recent_window > 0 and isinstance(self.budget, CacheBudget):
             raise ValueError("recent_window applies to periodic budgets; a CacheBudget "
                              "carries its own recent_window")
-        cap = self.budget
-        if isinstance(cap, CacheBudget) and cap.recent_window >= cap.max_slots:
-            # each capped append must find a victim outside the window before the token joins
-            raise ValueError(f"a CacheBudget's recent_window ({cap.recent_window}) "
-                             f"must be below max_slots ({cap.max_slots})")
         if self.policy is None:
             if self.budget is not None:
                 raise ValueError("a budget without a policy has no effect; drop one")
@@ -192,14 +187,6 @@ def _layer_rows(by_layer: list, dtype: np.dtype) -> np.ndarray:
     return rows
 
 
-@dataclass
-class ProbeArtifacts:
-    """In-memory objects from a probe round, for callers that need more than its record."""
-
-    seg: Segmentation
-    step_scores: StepScores
-
-
 @dataclass(eq=False)
 class RunRecord:
     """Full log of one decode run."""
@@ -230,12 +217,10 @@ class RunRecord:
     def tokens_generated(self) -> int:
         return len(self.generated_ids)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+    def to_dict(self) -> dict:
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timings_ms"}
         data["probe_records"] = [rec.to_dict() for rec in self.probe_records]
         data["occupancy"] = [list(row) for row in self.occupancy.tolist()]
-        if not include_timings:
-            del data["timings_ms"]
         return data
 
     @classmethod
@@ -341,16 +326,16 @@ def probe_cycle(
     eviction_seed: int = 0,
     round_index: int = 0,
     keep_dump: bool = False,
-) -> tuple[ProbeRecord, ProbeArtifacts | None]:
+) -> tuple[ProbeRecord, Ranker | None]:
     """One probe-and-prune round; the cache is updated in place.
 
     Appends the probe, captures the end-of-thinking attention rows and
     removes every probe token, even when a probe forward raises. Only then
     does it score and segment the original sequence, plan per the active
-    policy (skipped when budget is None, e.g. under a ratio cap where
-    eviction happens at append time) and apply the plan, which validates
-    it whole before evicting: a round that raises before it evicts leaves
-    the cache as it was. The cycle is skipped entirely
+    policy and apply the plan, which validates it whole before evicting: a
+    round that raises before it evicts leaves the cache as it was. With
+    budget None (a ratio cap) it plans nothing and returns the round's
+    ranking for capped appends, else None. The cycle is skipped entirely
     if the model already produced its own end-of-thinking token
     ("post-reasoning") or the probe would not fit under the model's maximum
     sequence length ("no-room").
@@ -389,6 +374,7 @@ def probe_cycle(
                                       for layer in sorted(step_scores.by_layer)], STEP_SCORE)
     if keep_dump:
         record.dump = _dense_dump(out.rows, base + last)
+    ranker = round_ranking(scores, seg, step_scores) if budget is None else None
     if budget is not None:
         ranking = scores
         if policy is PolicyKind.H2O:
@@ -412,7 +398,7 @@ def probe_cycle(
         raise ProbeLeak(
             f"live set grew during the probe cycle at (layer, head) {tuple(grown[0, :2].tolist())}"
         )
-    return record, ProbeArtifacts(seg, step_scores)
+    return record, ranker
 
 
 def _sample_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
@@ -434,7 +420,6 @@ def run(
     prompt: str | list[tuple[int, str]],
     config: DecodeConfig,
     *,
-    markers: MarkerSet | None = None,
     on_step=None,
     on_probe=None,
 ) -> RunRecord:
@@ -452,7 +437,6 @@ def run(
     if isinstance(model, TinyModelConfig):
         model = TinyDecoder(model)
     cfg = model.config
-    markers = markers if markers is not None else default_marker_set()
     if isinstance(prompt, str):
         prompt_tokens = tokenize(prompt, cfg.vocab_size)
     else:
@@ -525,8 +509,8 @@ def run(
             trace = ReasoningTrace(tuple(tokens), len(prompt_tokens))
             pre = state.live_sets() if on_probe is not None else None
             probe_started = perf_counter()
-            record, artifacts = probe_cycle(
-                state, model, trace, markers, config.policy, periodic_budget,
+            record, ranker = probe_cycle(
+                state, model, trace, default_marker_set(), config.policy, periodic_budget,
                 h2o=h2o,
                 eviction_seed=config.eviction_seed,
                 round_index=len(records),
@@ -534,8 +518,8 @@ def run(
             )
             timings["probe_ms"] += (perf_counter() - probe_started) * 1e3
             records.append(record)
-            if artifacts is not None and ratio_budget is not None:
-                ranking = round_ranking(record.scores, artifacts.seg, artifacts.step_scores)
+            if ranker is not None:
+                ranking = ranker
             if record.evicted_total > 0:
                 logits = requery_logits(state, model, next_id, position)
             if on_probe is not None:

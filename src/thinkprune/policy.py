@@ -355,8 +355,12 @@ class H2OAccumulator:
         self.fed[:, :, :width] = True
 
     def update(self, layer: int, head: int, row: Mapping[int, float]) -> None:
-        """Add one (layer, head)'s {token: weight} row."""
+        """Add one (layer, head)'s {token: weight} row; a row outside the
+        accumulator or with a negative token raises ValueError, changing nothing."""
         tokens = list(row)
+        low = min(tokens, default=0)
+        if not (0 <= layer < self.num_layers and 0 <= head < self.num_heads and low >= 0):
+            raise ValueError(f"h2o row entry for token {low} at ({layer}, {head}) is out of range")
         self._reserve(max(tokens, default=-1) + 1)
         self.sums[layer, head, tokens] += list(row.values())
         self.fed[layer, head, tokens] = True

@@ -159,7 +159,7 @@ class TestEnforceBudget:
         # Cap 8 non-prompt slots, recent window 4, 8 non-prompt live: the
         # next append must evict one of the 4 oldest non-recent tokens.
         state = fill_cache(1, 1, 4, prompt_len=2, total=10, recent=4)
-        budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=4)
+        budget = CacheBudget(ratio=0.5, max_slots=8)
         seen = {}
 
         def take_oldest(eligible, counts):
@@ -176,12 +176,12 @@ class TestEnforceBudget:
 
     def test_below_cap_appends_without_eviction(self):
         state = fill_cache(1, 1, 4, prompt_len=2, total=6, recent=2)
-        budget = CacheBudget(ratio=0.5, max_slots=8, recent_window=2)
+        budget = CacheBudget(ratio=0.5, max_slots=8)
         assert enforce_budget(state, budget, oldest_first) == 0
 
     def test_infeasible_window(self):
         state = fill_cache(1, 1, 4, prompt_len=1, total=4, recent=4)
-        budget = CacheBudget(ratio=0.5, max_slots=2, recent_window=4)
+        budget = CacheBudget(ratio=0.5, max_slots=2)
         with pytest.raises(BudgetInfeasible):
             enforce_budget(state, budget, oldest_first)
 
@@ -194,7 +194,7 @@ class TestEnforceBudget:
             (0, 0): frozenset({3}), (0, 1): frozenset({5}),
             (1, 0): frozenset({4}), (1, 1): frozenset({8}),
         }))
-        budget = CacheBudget(max_slots=7, recent_window=3)
+        budget = CacheBudget(max_slots=7)
         rng = np.random.default_rng(3)
         h2o = H2OAccumulator(2, 2)
         for l in range(2):
@@ -222,13 +222,13 @@ class TestEnforceBudget:
         assert state.apply_plan(EvictionPlan(1, 2, {(0, 0): [1, 2, 3], (0, 1): [0, 1, 2]})) == 6
         assert state.live_sets() == {(0, 0): frozenset({0}), (0, 1): frozenset({3})}
         state.remove_suffix(3)
-        assert enforce_budget(state, CacheBudget(max_slots=1, recent_window=0), oldest_first) == 1
+        assert enforce_budget(state, CacheBudget(max_slots=1), oldest_first) == 1
         assert state.live_sets() == {(0, 0): frozenset(), (0, 1): frozenset()}
         assert state.evicted_total == 7
 
     def test_failing_ranker_leaves_state_unchanged(self):
         state = fill_cache(1, 2, 4, prompt_len=1, total=8)
-        budget = CacheBudget(max_slots=6, recent_window=0)
+        budget = CacheBudget(max_slots=6)
 
         def failing(eligible, counts):
             raise RuntimeError("ranker failed")

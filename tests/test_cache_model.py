@@ -151,7 +151,7 @@ class CacheMachine(RuleBasedStateMachine):
     @rule(max_slots=st.integers(1, 6), randomized=st.booleans(), seed=st.integers(0, 99))
     def enforce_budget(self, max_slots, randomized, seed):
         recent = self.model.recent_window
-        budget = CacheBudget(max_slots=max_slots, recent_window=recent)
+        budget = CacheBudget(max_slots=max_slots)
         rank = random_victims((seed,)) if randomized else oldest_first
         model = self.model
         overflow = {key: max(0, model.nonprompt(key) + 1 - max_slots) for key in model.heads}

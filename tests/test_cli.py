@@ -183,6 +183,26 @@ class TestPlanCommand:
         assert "InputFormatError" in err
         assert "layer 0 step 0: heads score [5, 1] tokens" in err
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([[2.7, 0.5]], "has token 2.7, not an integer"),
+        ([[True, 0.5]], "has token True, not an integer"),
+        ([["5", 0.5]], "has token '5', not an integer"),
+        ([[4, 0.5], [4, 0.25]], "lists token 4 twice"),
+        ([[4, True]], "has score True, not a number"),
+        ([[4, "0.5"]], "has score '0.5', not a number"),
+        ([[4, 0.5, 1]], "has [4, 0.5, 1], not a [token, score] pair"),
+    ])
+    def test_malformed_score_pair_exits_2(self, trace_file, tmp_path, capsys, pairs, message):
+        # each pair is taken as written: nothing is coerced and no token is overwritten
+        path = tmp_path / "scores.json"
+        path.write_text(json.dumps({"layers": 1, "heads": 2, "scores": [[[[1, 0.5]], pairs]]}),
+                        encoding="utf-8")
+        assert main(["plan", "--trace", str(trace_file), "--scores", str(path),
+                     "--policy", "h2o", "--budget", "1"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "InputFormatError" in err
+        assert f'"scores[0][1]" {message}' in err
+
     def test_ours_without_scores_exits_2(self, trace_file, capsys):
         assert main(["plan", "--trace", str(trace_file), "--policy", "ours",
                      "--budget", "2"]) == EXIT_INPUT

@@ -21,9 +21,15 @@ from thinkprune.engine import (
 )
 from thinkprune.errors import ProbeLeak, ProtectedTokenEviction, SequenceTooLong
 from thinkprune.model import EOS_ID, THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
-from thinkprune.policy import EvictionBudget, EvictionPlan, H2OAccumulator, PolicyKind
+from thinkprune.policy import (
+    EvictionBudget,
+    EvictionPlan,
+    H2OAccumulator,
+    PolicyKind,
+    oldest_first,
+)
 from thinkprune.scoring import SUMMARIZATION_PROBE_TEXT, ScoreTensor, default_probe
-from thinkprune.trace import ReasoningTrace, Token, default_marker_set
+from thinkprune.trace import ReasoningTrace, Token, default_marker_set, segment
 
 PROMPT = "Solve: compute two plus two."
 
@@ -62,15 +68,6 @@ class TestDecodeConfig:
                         recent_window=6)
         make_config(policy=PolicyKind.HIERARCHICAL, budget=CacheBudget(max_slots=8))
         make_config(policy=PolicyKind.HIERARCHICAL, budget=EvictionBudget(2), recent_window=6)
-
-    @pytest.mark.parametrize("recent", [4, 5])
-    def test_cache_budget_window_must_leave_a_slot(self, recent):
-        # with the window as large as the cap, the first capped append had no
-        # victim outside the window and the run raised BudgetInfeasible
-        with pytest.raises(ValueError, match="must be below max_slots"):
-            make_config(policy=PolicyKind.STREAMING,
-                        budget=CacheBudget(max_slots=4, recent_window=recent))
-        make_config(policy=PolicyKind.STREAMING, budget=CacheBudget(max_slots=4, recent_window=3))
 
 
 class TestPromptIds:
@@ -341,12 +338,13 @@ class TestProbeCycle:
                                             model_dim=16, head_dim=16, rng_seed=11))
         texts = ["Q:", "First", " x", " y", ".", " Wait", " z"]
         state, trace = self._prefill(model, texts)
-        record, artifacts = probe_cycle(
+        record, ranker = probe_cycle(
             state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
         assert record.ran_probe
-        spans = [(s.start, s.end) for s in artifacts.seg.steps]
+        assert ranker is None
+        spans = [(s.start, s.end) for s in segment(trace, default_marker_set()).steps]
         assert spans == [(1, 5), (5, 7)]
         scores = {(0, 0): dict(record.scores.head_scores(0, 0))}
         live_sets = {(0, 0): set(range(1, 7))}
@@ -355,7 +353,7 @@ class TestProbeCycle:
                {e[0]: e[1] for e in record.evicted}.items()}
         assert got == want
         # and that token is the argmin of the lower-c step
-        c = dict(artifacts.step_scores.layer_entries(0))
+        c = {sid: score for sid, score in record.step_scores[0].tolist() if sid >= 0}
         low_sid = min(c, key=lambda sid: (c[sid], sid))
         lo, hi = spans[low_sid]
         victim, = got[(0, 0)]
@@ -384,14 +382,14 @@ class TestProbeCycle:
         ids = [10, 11, 12, THINK_END_ID, 13]
         state, trace = self._prefill(model, texts, ids)
         before = state.live_sets()
-        record, artifacts = probe_cycle(
+        record, ranker = probe_cycle(
             state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, EvictionBudget(3),
         )
         assert record.skipped
         assert record.skip_reason == "post-reasoning"
         assert not record.ran_probe
-        assert artifacts is None
+        assert ranker is None
         assert state.live_sets() == before
 
     def test_probe_hygiene_no_probe_token_survives(self):
@@ -491,13 +489,13 @@ class TestProbeCycle:
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
         state, trace = self._prefill(model, texts)
         before = state.live_sets()
-        record, artifacts = probe_cycle(
+        record, ranker = probe_cycle(
             state, model, trace, default_marker_set(),
             PolicyKind.HIERARCHICAL, None,
         )
         assert record.ran_probe
         assert record.evicted is None
-        assert artifacts is not None
+        assert ranker is not None
         assert state.live_sets() == before
 
     def test_round_without_room_is_skipped(self):
@@ -794,6 +792,40 @@ class TestRatioMode:
         assert np.array_equal(ours.occupancy, streaming.occupancy)
         assert ours.generated_ids == streaming.generated_ids
 
+    def test_capped_appends_rank_by_the_latest_probe_round(self, monkeypatch):
+        # ours hands each round's ranking to every capped append after it,
+        # and ranks oldest first before its first round
+        cfg = TinyModelConfig(rng_seed=1)
+        budget = CacheBudget.from_ratio(0.25, 30.0)
+        round_ranking, enforce_budget = engine.round_ranking, engine.enforce_budget
+        events = []
+
+        def ranking_spy(*args):
+            ranker = round_ranking(*args)
+            events.append(("round", ranker))
+            return ranker
+
+        def enforce_spy(state, cap, rank):
+            events.append(("append", rank))
+            return enforce_budget(state, cap, rank)
+
+        monkeypatch.setattr(engine, "round_ranking", ranking_spy)
+        monkeypatch.setattr(engine, "enforce_budget", enforce_spy)
+        record = run(cfg, PROMPT, make_config(policy=PolicyKind.HIERARCHICAL, budget=budget,
+                                              max_new=40))
+        rounds = [ranker for kind, ranker in events if kind == "round"]
+        assert len(rounds) == record.probe_rounds > 1
+        assert events[0] == ("append", oldest_first)
+        latest = oldest_first
+        for kind, ranker in events:
+            if kind == "round":
+                latest = ranker
+            else:
+                assert ranker is latest
+        # every round but possibly the last is followed by a capped append
+        assert set(rounds[:-1]) <= {ranker for kind, ranker in events if kind == "append"}
+        assert record.evicted_total > 0
+
 
 class TestRunRecord:
     def test_round_trip(self):
@@ -879,5 +911,4 @@ class TestRunRecord:
         cfg = TinyModelConfig(rng_seed=6)
         record = run(cfg, PROMPT, make_config(max_new=10))
         assert "timings_ms" not in record.to_dict()
-        assert "timings_ms" in record.to_dict(include_timings=True)
         assert record.timings_ms["decode_ms"] > 0

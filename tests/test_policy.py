@@ -405,6 +405,23 @@ class TestH2O:
         with pytest.raises(ValueError, match=r"\(1, 2\) heads, expected \(1, 1\)"):
             h2o_scores(acc.history(), 1, 1, all_live)
 
+    @pytest.mark.parametrize("layer, head, row, match", [
+        (0, 0, {-1: 0.125}, r"token -1 at \(0, 0\)"),
+        (0, 0, {1: 0.5, -2: 0.125}, r"token -2 at \(0, 0\)"),
+        (0, -1, {1: 1.0}, r"token 1 at \(0, -1\)"),
+        (0, 2, {1: 1.0}, r"token 1 at \(0, 2\)"),
+        (1, 0, {1: 1.0}, r"token 1 at \(1, 0\)"),
+        (-1, 0, {1: 1.0}, r"token 1 at \(-1, 0\)"),
+    ])
+    def test_row_outside_the_accumulator_changes_nothing(self, layer, head, row, match):
+        # numpy would wrap a negative index onto the last token or head
+        acc = H2OAccumulator(1, 2)
+        acc.update(0, 0, {0: 0.25, 3: 0.5})
+        sums, fed = acc.sums.copy(), acc.fed.copy()
+        with pytest.raises(ValueError, match=match):
+            acc.update(layer, head, row)
+        assert np.array_equal(acc.sums, sums) and np.array_equal(acc.fed, fed)
+
 
 class TestPlanStreaming:
     def test_middle_eviction(self):

@@ -5,10 +5,12 @@
 Builds the benchmark's model shape (4 layers x 4 heads, model dim 64, head
 dim 16, vocabulary 64, weights from seed 0) from this checkout's `src/`,
 with BLAS pinned to one thread as `perfbench/run.py` pins it. For each
-width in WIDTHS it decodes that many tokens into a cache, evicts every
-fifth non-prompt token at every head (so attention spans dead columns, as
-after pruning), and then times `TinyDecoder.forward_step` for the next
-position in each mode:
+width in WIDTHS it decodes that many tokens into a cache and times
+`TinyDecoder.forward_step` for the next position in each mode twice: on
+the all-live cache (row `live`, as in every prefill forward and every
+decode forward of a full-cache run), and again after evicting every fifth
+non-prompt token at every head (row `pruned`, so attention spans dead
+columns, as after pruning). The modes:
 
 - `logits`, `rows`, `kv`: the `outputs` keyword, with the token joining
   the cache at next_index. The forward writes and commits its K/V slot,
@@ -21,7 +23,7 @@ call: on a shared host, other load only ever adds time, so the fastest
 batch is the steadiest estimate. Run it in two checkouts, alternating, to
 compare them. The model's max_seq_len is the widest width plus one. The
 widths 1024 and 2048 show what dead columns cost on long caches. The run
-takes about 12 s on a 2-core x86 host, most of it decoding and timing
+takes about 22 s on a 2-core x86 host, most of it decoding and timing
 those two widths.
 
 Next to the timings it prints the bytes each structure holds: the model's
@@ -56,17 +58,21 @@ CALLS = 100
 REPEATS = 15
 
 
-def pruned_cache(model: TinyDecoder, width: int) -> KvCacheState:
+def decoded_cache(model: TinyDecoder, width: int) -> KvCacheState:
     cfg = model.config
     state = KvCacheState(cfg.num_layers, cfg.num_heads, cfg.head_dim,
                          ProtectedRegions(PROMPT_LEN, 0))
     for position in range(width):
         decode_step(state, model, 4 + (7 * position) % (cfg.vocab_size - 4), position)
-    victims = frozenset(range(PROMPT_LEN, width - 1, 5))
-    state.apply_plan(EvictionPlan(cfg.num_layers, cfg.num_heads, {
-        (layer, head): victims for layer in range(cfg.num_layers) for head in range(cfg.num_heads)
-    }))
     return state
+
+
+def evict_every_fifth(state: KvCacheState) -> None:
+    victims = frozenset(range(PROMPT_LEN, state.next_index - 1, 5))
+    state.apply_plan(EvictionPlan(state.num_layers, state.num_heads, {
+        (layer, head): victims for layer in range(state.num_layers)
+        for head in range(state.num_heads)
+    }))
 
 
 def time_mode(model: TinyDecoder, state: KvCacheState, mode: str) -> float:
@@ -98,12 +104,16 @@ def model_bytes(model: TinyDecoder) -> dict[str, int]:
 
 def main() -> int:
     model = TinyDecoder(TinyModelConfig(max_seq_len=max(WIDTHS) + 1, **SHAPE))
-    print(f"{'width':>6}" + "".join(f"{mode:>10}" for mode in MODES) + "   (µs per forward_step)")
+    print(f"{'width':>6}{'cache':>8}" + "".join(f"{mode:>10}" for mode in MODES)
+          + "   (µs per forward_step)")
     held = {}
     for width in WIDTHS:
-        state = pruned_cache(model, width)
-        figures = [time_mode(model, state, mode) for mode in MODES]
-        print(f"{width:>6}" + "".join(f"{f:>10.1f}" for f in figures))
+        state = decoded_cache(model, width)
+        for cache in ("live", "pruned"):
+            if cache == "pruned":
+                evict_every_fifth(state)
+            figures = [time_mode(model, state, mode) for mode in MODES]
+            print(f"{width:>6}{cache:>8}" + "".join(f"{f:>10.1f}" for f in figures))
         held[width] = [getattr(state, name) for name in CACHE_ARRAYS]
     print(f"\n{'width':>6}" + "".join(f"{name:>16}" for name in CACHE_ARRAYS)
           + "   (cache bytes: allocated / below width)")
