@@ -248,4 +248,4 @@ def enforce_budget(state: KvCacheState, budget: CacheBudget, rank: Ranker) -> in
             f"(layer {layer}, head {head}) must evict {overflow[layer, head]} but only "
             f"{available[layer, head]} tokens are eligible"
         )
-    return state._evict(lowest_keyed(eligible, overflow, rank(eligible, overflow)))
+    return state._evict(lowest_keyed(eligible, overflow, rank(eligible.shape)))

@@ -364,7 +364,7 @@ def cmd_report(args) -> int:
             data = json.load(fh)
         try:
             records.append(RunRecord.from_dict(data))
-        except (TypeError, AttributeError, ValueError) as exc:
+        except (TypeError, AttributeError, ValueError, InputFormatError) as exc:
             raise InputFormatError(f"{path} is not a run record: {exc}") from exc
     out = _out_dir(args) or Path("thinkprune_out")
     out.mkdir(parents=True, exist_ok=True)

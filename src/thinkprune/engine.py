@@ -16,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from .cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
-from .errors import ProbeLeak, SequenceTooLong
+from .errors import InputFormatError, ProbeLeak, SequenceTooLong
 from .model import (
     EOS_ID,
     THINK_END_ID,
@@ -51,8 +51,9 @@ from .scoring import (
     StepScores,
     aggregate_step_scores,
     extract_token_scores,
+    score_pairs,
 )
-from .trace import MarkerSet, ReasoningTrace, Segmentation, Token, default_marker_set, segment
+from .trace import ReasoningTrace, Segmentation, Token, default_marker_set, segment
 
 FULL_KV_NAME = "full"
 # one run record occupancy row per decode step
@@ -154,7 +155,12 @@ class ProbeRecord:
         # records written before the field was retired still carry it
         data = {key: value for key, value in data.items() if key != "scores_digest"}
         if data.get("scores") is not None:
-            heads = {(layer, head): dict(pairs) for layer, head, pairs in data["scores"]}
+            heads = {}
+            for layer, head, pairs in data["scores"]:
+                where = f'probe record field "scores" ({layer}, {head})'
+                if (layer, head) in heads:
+                    raise InputFormatError(f"{where} is listed twice")
+                heads[(layer, head)] = score_pairs(pairs, where)
             data["scores"] = ScoreTensor(1 + max((layer for layer, _head in heads), default=-1),
                                          1 + max((head for _layer, head in heads), default=-1),
                                          heads)
@@ -269,15 +275,6 @@ def kv_stats(state: KvCacheState) -> dict:
             "evicted_total": state.evicted_total, "per_layer": counts.tolist()}
 
 
-def _dense_dump(rows: np.ndarray, probe_position: int) -> dict:
-    return {
-        "layers": rows.shape[0],
-        "heads": rows.shape[1],
-        "probe_position": probe_position,
-        "rows": rows.tolist(),
-    }
-
-
 def plan_round(
     policy: PolicyKind,
     scores: ScoreTensor,
@@ -318,7 +315,6 @@ def probe_cycle(
     state: KvCacheState,
     model: TinyDecoder,
     trace: ReasoningTrace,
-    markers: MarkerSet,
     policy: PolicyKind,
     budget: EvictionBudget | None,
     *,
@@ -331,12 +327,12 @@ def probe_cycle(
 
     Appends the probe, captures the end-of-thinking attention rows and
     removes every probe token, even when a probe forward raises. Only then
-    does it score and segment the original sequence, plan per the active
-    policy and apply the plan, which validates it whole before evicting: a
-    round that raises before it evicts leaves the cache as it was. With
-    budget None (a ratio cap) it plans nothing and returns the round's
-    ranking for capped appends, else None. The cycle is skipped entirely
-    if the model already produced its own end-of-thinking token
+    does it score the original sequence, segment it with default_marker_set(),
+    plan per the active policy and apply the plan, which validates it whole
+    before evicting: a round that raises before it evicts leaves the cache
+    as it was. With budget None (a ratio cap) it plans nothing and returns
+    the round's ranking for capped appends, else None. The cycle is skipped
+    entirely if the model already produced its own end-of-thinking token
     ("post-reasoning") or the probe would not fit under the model's maximum
     sequence length ("no-room").
     """
@@ -367,13 +363,14 @@ def probe_cycle(
     # the one candidate mask of the round
     eligible = state.evictable()
     scores = extract_token_scores(out.rows, trace, eligible)
-    seg = segment(trace, markers)
+    seg = segment(trace, default_marker_set())
     step_scores = aggregate_step_scores(scores, seg, eligible)
     record.scores = scores
     record.step_scores = _layer_rows([list(step_scores.layer_entries(layer))
                                       for layer in sorted(step_scores.by_layer)], STEP_SCORE)
     if keep_dump:
-        record.dump = _dense_dump(out.rows, base + last)
+        record.dump = {"layers": out.rows.shape[0], "heads": out.rows.shape[1],
+                       "probe_position": base + last, "rows": out.rows.tolist()}
     ranker = round_ranking(scores, seg, step_scores) if budget is None else None
     if budget is not None:
         ranking = scores
@@ -510,7 +507,7 @@ def run(
             pre = state.live_sets() if on_probe is not None else None
             probe_started = perf_counter()
             record, ranker = probe_cycle(
-                state, model, trace, default_marker_set(), config.policy, periodic_budget,
+                state, model, trace, config.policy, periodic_budget,
                 h2o=h2o,
                 eviction_seed=config.eviction_seed,
                 round_index=len(records),

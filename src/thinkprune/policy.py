@@ -8,14 +8,15 @@ oldest-first (streaming) baselines share the plan type; plan_streaming
 is the unbudgeted first/recent window form of streaming.
 
 Every baseline, and the hierarchical policy under a ratio cap, ranks its
-victims with a Ranker: one call per probe round or capped append gives a
-key to every (layer, head, position) slot; random's keys are one uniform
-draw. lowest_keyed is the only code that turns keys into victims: per
-(layer, head), the eligible slots with the lowest keys, ties to the
+victims with a Ranker: one call per probe round or capped append keys
+every (layer, head, position) slot of a shape; random's keys are one
+uniform draw. lowest_keyed is the only code that turns keys into victims:
+per (layer, head), the eligible slots with the lowest keys, ties to the
 smaller position, by one argmin when no head takes more than one (every
-capped append) and one stable sort otherwise. Probe rounds reach it
-through plan_by_selector, ratio caps through cache.enforce_budget, and
-policy_ranker maps each PolicyKind to its Ranker for both.
+capped append) and one stable sort otherwise. The hierarchical plan calls
+it once per allocated step, the baselines' probe rounds through
+plan_by_selector and ratio caps through cache.enforce_budget, for which
+policy_ranker maps each PolicyKind to its Ranker.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import BudgetExceedsStep
 from .scoring import Candidates, ScoreTensor, StepScores, candidate_mask, ranked_step_order
 from .trace import Segmentation
 
-# (eligible (layers, heads, n) mask, counts to evict (layers, heads)) ->
-# (layers, heads, n) finite keys; lower keys are evicted first
-Ranker = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# (layers, heads, n) shape -> finite keys of that shape; lower keys are
+# evicted first
+Ranker = Callable[[tuple[int, ...]], np.ndarray]
 
 
 class PolicyKind(str, Enum):
@@ -168,29 +169,25 @@ def plan_from_allocation(
     live: Candidates,
     allocation: StepAllocation,
 ) -> EvictionPlan:
-    """Per layer, each allocated step evicts its allocated count of lowest-
-    scoring live tokens at every head. Raises BudgetExceedsStep for the
-    first (layer, head, allocated step) with fewer live tokens than that."""
+    """Per layer, each allocated step evicts at every head its allocated
+    count of lowest-scoring live tokens, which lowest_keyed picks over the
+    step's span. Raises BudgetExceedsStep for the first (layer, allocated
+    step) where a head has fewer live tokens than that."""
     shape = (scores.num_layers, scores.num_heads, seg.trace_len)
     eligible = candidate_mask(live, shape)
     keys = scores.padded(seg.trace_len)
     sizes = seg.count_per_step(eligible).tolist()
     picked = np.zeros(shape, dtype=bool)
-    heads = np.arange(scores.num_heads)[:, None]
     for layer in range(scores.num_layers):
-        order = allocation.layer_order(layer)
-        for head in range(scores.num_heads):
-            for sid, count in order:
-                if count > sizes[layer][head][sid]:
-                    raise BudgetExceedsStep(f"cannot evict {count} tokens from a step with "
-                                            f"{sizes[layer][head][sid]} live tokens")
-        for sid, count in order:
-            # per head, the count lowest-scoring eligible tokens of the step,
-            # ties to the smaller position
+        for sid, count in allocation.layer_order(layer):
+            short = [by_step[sid] for by_step in sizes[layer] if by_step[sid] < count]
+            if short:
+                raise BudgetExceedsStep(f"cannot evict {count} tokens from a step with "
+                                        f"{short[0]} live tokens")
             step = seg.steps[sid]
             span = np.s_[layer, :, step.start:step.end]
-            ranked = np.argsort(np.where(eligible[span], keys[span], np.inf), axis=1, kind="stable")
-            picked[layer, heads, step.start + ranked[:, :count]] = True
+            picked[span] |= lowest_keyed(eligible[span][None], np.full((1, shape[1]), count),
+                                         keys[span][None])[0]
     return EvictionPlan.of_mask(picked)
 
 
@@ -218,19 +215,21 @@ def lowest_keyed(eligible: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> 
     """
     masked = np.where(eligible, keys, np.inf)
     picked = np.zeros_like(eligible)
-    if counts.max(initial=0) <= 1:
+    top = counts.max(initial=0)
+    if top <= 1:
         layers, heads = np.nonzero(counts)
         if layers.size:
             picked[layers, heads, np.argmin(masked[layers, heads], axis=1)] = True
         return picked
-    first = np.argsort(masked, axis=2, kind="stable")[:, :, :counts.max()]
-    np.put_along_axis(picked, first, np.arange(first.shape[2]) < counts[..., None], axis=2)
+    first = np.argsort(masked, axis=2, kind="stable")[:, :, :top]
+    layers, heads, ranks = np.nonzero(np.arange(top) < counts[..., None])
+    picked[layers, heads, first[layers, heads, ranks]] = True
     return picked
 
 
-def oldest_first(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def oldest_first(shape: tuple[int, ...]) -> np.ndarray:
     """Streaming: one key for every slot, so the oldest eligible go first."""
-    return np.zeros(eligible.shape)
+    return np.zeros(shape)
 
 
 def random_victims(seed_prefix: Sequence[int]) -> Ranker:
@@ -242,12 +241,12 @@ def random_victims(seed_prefix: Sequence[int]) -> Ranker:
     heads are visited.
     """
     prefix = list(seed_prefix)
-    return lambda eligible, counts: np.random.default_rng(prefix).random(eligible.shape)
+    return lambda shape: np.random.default_rng(prefix).random(shape)
 
 
 def lowest_scores(scores: ScoreTensor) -> Ranker:
     """Each slot keyed by its score; unscored slots score zero."""
-    return lambda eligible, counts: scores.padded(eligible.shape[2])
+    return lambda shape: scores.padded(shape[2])
 
 
 def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScores) -> Ranker:
@@ -271,9 +270,9 @@ def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScore
     ranks = np.empty(shape)
     np.put_along_axis(ranks, order, positions, axis=2)
 
-    def rank(eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        keys = np.broadcast_to(np.arange(eligible.shape[2], dtype=float), eligible.shape).copy()
-        keys[:, :, :width] = ranks[:, :, :eligible.shape[2]]
+    def rank(shape: tuple[int, ...]) -> np.ndarray:
+        keys = np.broadcast_to(np.arange(shape[2], dtype=float), shape).copy()
+        keys[:, :, :width] = ranks[:, :, :shape[2]]
         return keys
 
     return rank
@@ -282,7 +281,7 @@ def round_ranking(scores: ScoreTensor, seg: Segmentation, step_scores: StepScore
 def policy_ranker(
     policy: PolicyKind, *, seed: Sequence[int] = (), ranking: Ranker = oldest_first
 ) -> Ranker:
-    """The one PolicyKind to Ranker mapping, for probe rounds and ratio caps.
+    """The one PolicyKind to Ranker mapping, for ratio caps.
 
     random draws afresh from the seed prefix and streaming keeps the oldest;
     h2o and the hierarchical policy rank by ranking: accumulated attention,
@@ -306,7 +305,7 @@ def plan_by_selector(
     """Evict the min(k, live) lowest-keyed live tokens below seq_len per (layer, head)."""
     eligible = candidate_mask(live, (num_layers, num_heads, seq_len))
     counts = np.minimum(budget.k, np.count_nonzero(eligible, axis=2))
-    return EvictionPlan.of_mask(lowest_keyed(eligible, counts, rank(eligible, counts)))
+    return EvictionPlan.of_mask(lowest_keyed(eligible, counts, rank(eligible.shape)))
 
 
 def plan_random(
@@ -318,9 +317,8 @@ def plan_random(
     seed: int | Sequence[int],
 ) -> EvictionPlan:
     """Uniform random eviction of min(k, live) tokens per (layer, head)."""
-    prefix = [seed] if isinstance(seed, int) else seed
     return plan_by_selector(num_layers, num_heads, seq_len, live, budget,
-                            policy_ranker(PolicyKind.RANDOM, seed=prefix))
+                            random_victims([seed] if isinstance(seed, int) else seed))
 
 
 class H2OAccumulator:
@@ -369,10 +367,10 @@ class H2OAccumulator:
         """Every fed token's sum, as a ScoreTensor as wide as the capacity."""
         return ScoreTensor.from_arrays(self.sums, self.fed.copy())
 
-    def rank(self, eligible: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def rank(self, shape: tuple[int, ...]) -> np.ndarray:
         """Ranker: each slot keyed by its accumulated attention, 0 if never fed."""
-        keys = np.zeros(eligible.shape)
-        keys[:, :, :self.sums.shape[2]] = self.sums[:, :, :eligible.shape[2]]
+        keys = np.zeros(shape)
+        keys[:, :, :self.sums.shape[2]] = self.sums[:, :, :shape[2]]
         return keys
 
 
@@ -398,7 +396,7 @@ def plan_h2o(
 ) -> EvictionPlan:
     """Evict the k lowest accumulated-attention tokens per head, no step structure."""
     return plan_by_selector(scores.num_layers, scores.num_heads, seq_len, live, budget,
-                            policy_ranker(PolicyKind.H2O, ranking=lowest_scores(scores)))
+                            lowest_scores(scores))
 
 
 def plan_streaming(
@@ -428,8 +426,7 @@ def plan_oldest(
 ) -> EvictionPlan:
     """Evict the k oldest live candidates per (layer, head): the per-round
     budgeted analog of streaming retention."""
-    return plan_by_selector(num_layers, num_heads, seq_len, live, budget,
-                            policy_ranker(PolicyKind.STREAMING))
+    return plan_by_selector(num_layers, num_heads, seq_len, live, budget, oldest_first)
 
 
 def plan_to_dict(plan: EvictionPlan, allocation: StepAllocation | None = None) -> dict:

@@ -343,22 +343,28 @@ def scores_from_dict(data: object) -> ScoreTensor:
         if not isinstance(layer_entries, list) or len(layer_entries) != heads:
             raise InputFormatError(f'scores field "scores[{layer}]" must list {heads} heads')
         for head, pairs in enumerate(layer_entries):
-            where = f'scores field "scores[{layer}][{head}]"'
-            if not isinstance(pairs, list):
-                raise InputFormatError(f"{where} must be a list of [token, score] pairs")
-            head_scores = scores[(layer, head)] = {}
-            for pair in pairs:
-                if not isinstance(pair, list) or len(pair) != 2:
-                    raise InputFormatError(f"{where} has {pair!r}, not a [token, score] pair")
-                token, score = pair
-                if not isinstance(token, int) or isinstance(token, bool):
-                    raise InputFormatError(f"{where} has token {token!r}, not an integer")
-                if token in head_scores:
-                    raise InputFormatError(f"{where} lists token {token} twice")
-                if not isinstance(score, (int, float)) or isinstance(score, bool):
-                    raise InputFormatError(f"{where} has score {score!r}, not a number")
-                head_scores[token] = float(score)
+            scores[(layer, head)] = score_pairs(pairs, f'scores field "scores[{layer}][{head}]"')
     return ScoreTensor(layers, heads, scores)
+
+
+def score_pairs(pairs: object, where: str) -> dict[int, float]:
+    """{token: score} of one head's JSON [[token, score], ...] list, or
+    InputFormatError naming where for a malformed pair or a repeated token."""
+    if not isinstance(pairs, list):
+        raise InputFormatError(f"{where} must be a list of [token, score] pairs")
+    head_scores: dict[int, float] = {}
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputFormatError(f"{where} has {pair!r}, not a [token, score] pair")
+        token, score = pair
+        if not isinstance(token, int) or isinstance(token, bool):
+            raise InputFormatError(f"{where} has token {token!r}, not an integer")
+        if token in head_scores:
+            raise InputFormatError(f"{where} lists token {token} twice")
+        if not isinstance(score, (int, float)) or isinstance(score, bool):
+            raise InputFormatError(f"{where} has score {score!r}, not a number")
+        head_scores[token] = float(score)
+    return head_scores
 
 
 def load_scores(path: str | Path) -> ScoreTensor:

@@ -162,14 +162,13 @@ class TestEnforceBudget:
         budget = CacheBudget(ratio=0.5, max_slots=8)
         seen = {}
 
-        def take_oldest(eligible, counts):
-            seen["eligible"], seen["counts"] = eligible.copy(), counts.copy()
-            return oldest_first(eligible, counts)
+        def take_oldest(shape):
+            seen["shape"] = shape
+            return oldest_first(shape)
 
         evicted = enforce_budget(state, budget, take_oldest)
         assert evicted == 1
-        assert np.flatnonzero(seen["eligible"][0, 0]).tolist() == [2, 3, 4, 5]
-        assert seen["counts"].tolist() == [[1]]
+        assert seen["shape"] == (1, 1, 10)
         assert state.live_indices(0, 0) == (0, 1, 3, 4, 5, 6, 7, 8, 9)
         state.append(10)
         assert state.live_nonprompt_count(0, 0) == 8
@@ -230,7 +229,7 @@ class TestEnforceBudget:
         state = fill_cache(1, 2, 4, prompt_len=1, total=8)
         budget = CacheBudget(max_slots=6)
 
-        def failing(eligible, counts):
+        def failing(shape):
             raise RuntimeError("ranker failed")
 
         live = state.live.copy()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -360,6 +361,28 @@ class TestReportCommand:
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "InputFormatError" in err and str(path) in err
+
+    @pytest.mark.parametrize("pairs, message", [
+        (None, r"\(0, 0\) is listed twice"),
+        ([[2, 0.5], [2, 0.25]], "lists token 2 twice"),
+        ([[True, 0.5]], "token True, not an integer"),
+        ([[1.9, 0.5]], "token 1.9, not an integer"),
+    ], ids=["repeated-head", "repeated-token", "bool-token", "float-token"])
+    def test_record_with_altered_scores_exits_2(self, tmp_path, capsys, pairs, message):
+        # each used to load: a repeated head or token kept only its last
+        # entry, and a bool token became token 1
+        path, _record = self._record_file(tmp_path)
+        data = json.loads(path.read_text())
+        probe = next(p for p in data["probe_records"] if p["scores"])
+        if pairs is None:
+            probe["scores"].append(probe["scores"][0])
+        else:
+            probe["scores"][0][2] = pairs
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "InputFormatError" in err and str(path) in err
+        assert re.search(message, err)
 
     def test_occupancy_series_covers_every_step(self, tmp_path):
         path, record = self._record_file(tmp_path)

@@ -9,7 +9,7 @@ import pytest
 
 from reference import alg1_reference, h2o_bruteforce
 
-from thinkprune import engine
+from thinkprune import cache, engine, policy
 from thinkprune.cache import CacheBudget, KvCacheState, ProtectedRegions
 from thinkprune.engine import (
     DecodeConfig,
@@ -339,8 +339,7 @@ class TestProbeCycle:
         texts = ["Q:", "First", " x", " y", ".", " Wait", " z"]
         state, trace = self._prefill(model, texts)
         record, ranker = probe_cycle(
-            state, model, trace, default_marker_set(),
-            PolicyKind.HIERARCHICAL, EvictionBudget(1),
+            state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
         assert record.ran_probe
         assert ranker is None
@@ -368,8 +367,7 @@ class TestProbeCycle:
         before = state.live_sets()
         before_next = state.next_index
         record, _ = probe_cycle(
-            state, model, trace, default_marker_set(),
-            PolicyKind.HIERARCHICAL, EvictionBudget(0),
+            state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(0),
         )
         assert record.evicted_total == 0
         assert state.live_sets() == before
@@ -383,8 +381,7 @@ class TestProbeCycle:
         state, trace = self._prefill(model, texts, ids)
         before = state.live_sets()
         record, ranker = probe_cycle(
-            state, model, trace, default_marker_set(),
-            PolicyKind.HIERARCHICAL, EvictionBudget(3),
+            state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(3),
         )
         assert record.skipped
         assert record.skip_reason == "post-reasoning"
@@ -397,8 +394,7 @@ class TestProbeCycle:
         texts = ["Q:", "So", " a", " b", ".", " Then", " c"]
         state, trace = self._prefill(model, texts)
         pre = state.live_sets()
-        probe_cycle(state, model, trace, default_marker_set(),
-                    PolicyKind.HIERARCHICAL, EvictionBudget(2))
+        probe_cycle(state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(2))
         post = state.live_sets()
         base = len(trace.tokens)
         for key, live in post.items():
@@ -423,8 +419,7 @@ class TestProbeCycle:
 
         monkeypatch.setattr(TinyDecoder, "forward_step", spy)
         monkeypatch.setattr(engine, "decode_step", no_decode_step)
-        record, _ = probe_cycle(state, model, trace, default_marker_set(),
-                                PolicyKind.HIERARCHICAL, EvictionBudget(2))
+        record, _ = probe_cycle(state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(2))
         assert record.ran_probe
         probe = tokenize(SUMMARIZATION_PROBE_TEXT, model.config.vocab_size)
         assert [token_id for token_id, _outputs in calls] == [pid for pid, _text in probe]
@@ -446,8 +441,7 @@ class TestProbeCycle:
             return plan_round(policy, scores, seg, step_scores, live, *args)
 
         monkeypatch.setattr(engine, "plan_round", spy)
-        record, _ = probe_cycle(state, model, trace, default_marker_set(),
-                                PolicyKind.HIERARCHICAL, EvictionBudget(1))
+        record, _ = probe_cycle(state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(1))
         (live, next_index), = seen
         assert next_index == base
         assert live.shape == (model.config.num_layers, model.config.num_heads, base)
@@ -464,8 +458,7 @@ class TestProbeCycle:
         monkeypatch.setattr(KvCacheState, "remove_suffix",
                             lambda self, start: remove_suffix(self, start + 1))
         with pytest.raises(ProbeLeak, match=r"survived at \(layer, head\) \(0, 0\)"):
-            probe_cycle(state, model, trace, default_marker_set(),
-                        PolicyKind.HIERARCHICAL, EvictionBudget(0))
+            probe_cycle(state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(0))
 
     def test_revived_key_is_a_leak(self, monkeypatch):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
@@ -481,8 +474,7 @@ class TestProbeCycle:
 
         monkeypatch.setattr(KvCacheState, "remove_suffix", revive)
         with pytest.raises(ProbeLeak, match=r"grew .* \(1, 0\)"):
-            probe_cycle(state, model, trace, default_marker_set(),
-                        PolicyKind.HIERARCHICAL, EvictionBudget(0))
+            probe_cycle(state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(0))
 
     def test_score_refresh_mode_evicts_nothing(self):
         model = TinyDecoder(TinyModelConfig(rng_seed=2))
@@ -490,8 +482,7 @@ class TestProbeCycle:
         state, trace = self._prefill(model, texts)
         before = state.live_sets()
         record, ranker = probe_cycle(
-            state, model, trace, default_marker_set(),
-            PolicyKind.HIERARCHICAL, None,
+            state, model, trace, PolicyKind.HIERARCHICAL, None,
         )
         assert record.ran_probe
         assert record.evicted is None
@@ -569,8 +560,7 @@ class TestProbeCycleFaults:
         sums = h2o.sums.copy()
         inject()
         with pytest.raises(error):
-            probe_cycle(state, model, trace, default_marker_set(), policy,
-                        EvictionBudget(2), h2o=h2o)
+            probe_cycle(state, model, trace, policy, EvictionBudget(2), h2o=h2o)
         width = live.shape[2]
         assert state.live[:, :, :width].tobytes() == live.tobytes()
         assert not state.live[:, :, width:].any()
@@ -827,6 +817,41 @@ class TestRatioMode:
         assert record.evicted_total > 0
 
 
+class TestOnePicker:
+    """lowest_keyed picks every victim, of probe rounds and capped appends alike."""
+
+    @pytest.fixture
+    def picked(self, monkeypatch):
+        """The number of victims of each lowest_keyed call."""
+        picked = []
+        lowest_keyed = policy.lowest_keyed
+
+        def spy(eligible, counts, keys):
+            victims = lowest_keyed(eligible, counts, keys)
+            picked.append(int(np.count_nonzero(victims)))
+            return victims
+
+        # cache imported the picker by name
+        monkeypatch.setattr(policy, "lowest_keyed", spy)
+        monkeypatch.setattr(cache, "lowest_keyed", spy)
+        return picked
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    def test_every_probe_round_victim(self, picked, kind):
+        record = run(TinyModelConfig(rng_seed=2), PROMPT,
+                     make_config(policy=kind, budget=EvictionBudget(2), max_new=24))
+        evicted = sum(probe.evicted_total for probe in record.probe_records)
+        assert evicted > 0
+        assert sum(picked) == evicted == record.evicted_total
+
+    def test_every_capped_append_victim(self, picked):
+        record = run(TinyModelConfig(rng_seed=1), PROMPT,
+                     make_config(policy=PolicyKind.HIERARCHICAL,
+                                 budget=CacheBudget.from_ratio(0.25, 30.0), max_new=40))
+        assert record.evicted_total > 0
+        assert sum(picked) == record.evicted_total
+
+
 class TestRunRecord:
     def test_round_trip(self):
         cfg = TinyModelConfig(rng_seed=6)
@@ -849,8 +874,7 @@ class TestRunRecord:
             decode_step(state, model, 10 + i, i)
         trace = ReasoningTrace(tuple(Token(i, 10 + i, text) for i, text in enumerate(texts)), 1)
         record, _ = probe_cycle(
-            state, model, trace, default_marker_set(),
-            PolicyKind.HIERARCHICAL, EvictionBudget(1),
+            state, model, trace, PolicyKind.HIERARCHICAL, EvictionBudget(1),
         )
         scores = record.scores
         old = [

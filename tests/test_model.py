@@ -570,7 +570,7 @@ class TestInPlaceKv:
         from thinkprune.engine import probe_cycle
         from thinkprune.policy import EvictionBudget, PolicyKind
         from thinkprune.scoring import default_probe
-        from thinkprune.trace import ReasoningTrace, Token, default_marker_set
+        from thinkprune.trace import ReasoningTrace, Token
 
         model = TinyDecoder(TinyModelConfig(rng_seed=5, max_seq_len=160))
         cfg = model.config
@@ -589,8 +589,7 @@ class TestInPlaceKv:
                     tuple(Token(i, t, token_text(t)) for i, t in enumerate(ids[:position])),
                     prompt_len,
                 )
-                record, _ = probe_cycle(state, model, trace, default_marker_set(),
-                                        PolicyKind.RANDOM, EvictionBudget(6),
+                record, _ = probe_cycle(state, model, trace, PolicyKind.RANDOM, EvictionBudget(6),
                                         eviction_seed=1)
                 assert record.ran_probe and record.evicted_total > 0
             for (layer, head), live in state.live_sets().items():
