@@ -1,4 +1,5 @@
-"""tools/behaviour_matrix.py compare, on hand-made cells (nothing is recorded)."""
+"""tools/behaviour_matrix.py: compare on hand-made cells, and the recorded
+matrix against the committed digests of its exact fields."""
 
 from __future__ import annotations
 
@@ -8,10 +9,37 @@ from pathlib import Path
 
 import pytest
 
+from thinkprune.engine import RunRecord
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "behaviour_matrix.py"
 _spec = importlib.util.spec_from_file_location("behaviour_matrix", _PATH)
 behaviour_matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(behaviour_matrix)
+DIGESTS = Path(__file__).resolve().parent / "behaviour_digests.json"
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict[str, dict]:
+    return behaviour_matrix.record_matrix()
+
+
+def test_recorded_matrix_matches_the_committed_digests(recorded):
+    expected = json.loads(DIGESTS.read_text())
+    got = behaviour_matrix.digests(recorded)
+    changed = sorted(name for name in expected.keys() | got.keys()
+                     if expected.get(name) != got.get(name))
+    assert not changed, (
+        f"{len(changed)} of {len(expected)} cells differ from {DIGESTS.name} "
+        f"(record the parent and compare to see the fields): {changed}")
+
+
+def test_every_run_cell_loads_and_renders_byte_identically(recorded):
+    runs = {name: cell for name, cell in recorded.items() if "probe_records" in cell}
+    assert len(runs) == 280
+    for name, cell in runs.items():
+        text = json.dumps(cell, sort_keys=True)
+        again = RunRecord.from_dict(json.loads(text)).to_dict()
+        assert json.dumps(again, sort_keys=True) == text, name
 
 
 def cells() -> dict[str, dict]:

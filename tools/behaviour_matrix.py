@@ -2,6 +2,7 @@
 
     python3 tools/behaviour_matrix.py record out.json
     python3 tools/behaviour_matrix.py compare parent.json change.json
+    python3 tools/behaviour_matrix.py digest tests/behaviour_digests.json
 
 `record` runs every cell against the library in this checkout's `src/`
 and writes {cell name: record.to_dict()}. The matrix: the full-cache run,
@@ -35,12 +36,20 @@ fields (`scores`, `step_scores`, `dump` in each probe round) agree within
 1e-12, and that every other field matches exactly, except `scores_digest`,
 which records written before that field was retired still carry. It
 prints how many cells are byte-identical and exits 1 on any mismatch.
+
+`digest` records the matrix and writes {cell name: sha256 of its exact
+fields}: everything `compare` matches exactly, so a run cell's ids,
+evictions, allocations, plan sizes, occupancy and skip fields, and a plan
+cell's exit code, stdout and stderr. `tests/test_behaviour_matrix.py`
+records the matrix and checks it against `tests/behaviour_digests.json`;
+a change that alters behaviour on purpose regenerates that file.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -180,6 +189,22 @@ def _float_diff(a, b) -> float:
     return 0.0 if a == b else float("inf")
 
 
+def exact_fields(cell: dict) -> dict:
+    """The cell without its probe rounds' float fields and retired digest."""
+    if "probe_records" not in cell:
+        return cell
+    return dict(cell, probe_records=[
+        {key: value for key, value in rnd.items()
+         if key not in FLOAT_FIELDS and key != "scores_digest"}
+        for rnd in cell["probe_records"]])
+
+
+def digests(cells: dict[str, dict]) -> dict[str, str]:
+    """{cell name: sha256 of the cell's exact fields as sorted-key JSON}."""
+    return {name: hashlib.sha256(json.dumps(exact_fields(cell), sort_keys=True).encode())
+            .hexdigest() for name, cell in sorted(cells.items())}
+
+
 def compare(parent: dict[str, dict], change: dict[str, dict]) -> tuple[list[str], float, int]:
     """Return (exact-field mismatches, largest float difference, byte-identical cells)."""
     mismatches = [f"{name}: missing from one side" for name in sorted(parent.keys() ^ change.keys())]
@@ -212,7 +237,15 @@ def main(argv: list[str] | None = None) -> int:
     cmp_ = sub.add_parser("compare", help="compare two recordings")
     cmp_.add_argument("parent")
     cmp_.add_argument("change")
+    dig = sub.add_parser("digest", help="run the matrix and write each cell's digest")
+    dig.add_argument("out")
     args = parser.parse_args(argv)
+
+    if args.command == "digest":
+        cells = digests(record_matrix())
+        Path(args.out).write_text(json.dumps(cells, sort_keys=True, indent=0) + "\n")
+        print(f"wrote {len(cells)} cell digests to {args.out}")
+        return 0
 
     if args.command == "record":
         cells = record_matrix()
