@@ -178,8 +178,8 @@ class KvCacheState:
         evictable = self.evictable()
         # plan rows ascend by (layer, head, token), the order the checks run
         layers, heads, tokens = plan.victims.T
-        known = (tokens >= 0) & (tokens < self.next_index)
-        live = known & self.live[layers, heads, np.where(known, tokens, 0)]
+        live = (tokens >= 0) & (tokens < self.next_index)
+        live[live] = self.live[layers[live], heads[live], tokens[live]]
         allowed = np.zeros_like(live)
         allowed[live] = evictable[layers[live], heads[live], tokens[live]]
         if not allowed.all():

@@ -23,10 +23,7 @@ from .engine import FULL_KV_NAME, DecodeConfig, RunRecord, plan_round, run
 from .errors import (
     BudgetExceedsStep,
     BudgetInfeasible,
-    EmptyReasoningRegion,
     InputFormatError,
-    NonNormalizedRow,
-    OffsetOutOfRange,
     ProbeLeak,
     ProtectedTokenEviction,
     PruneError,
@@ -40,36 +37,23 @@ from .scoring import (
     THINK_END_TEXT,
     aggregate_step_scores,
     default_probe,
+    dump_from_dict,
     extract_token_scores,
     format_step_table,
-    load_attention_dump,
-    load_scores,
+    scores_from_dict,
     scores_to_dict,
 )
-from .trace import default_marker_set, load_markers, load_trace, segment, segmentation_to_dict
+from .schema import load
+from .trace import default_marker_set, markers_from_dict, segment, segmentation_to_dict, trace_from_dict
 
 ENV_OUT_DIR = "THINKPRUNE_OUT"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-_INPUT_ERRORS = (
-    InputFormatError,
-    EmptyReasoningRegion,
-    OffsetOutOfRange,
-    NonNormalizedRow,
-    OSError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-    SequenceTooLong,
-)
-_RUNTIME_ERRORS = (
-    ProbeLeak,
-    BudgetInfeasible,
-    ProtectedTokenEviction,
-    UnknownToken,
-    BudgetExceedsStep,
-)
+# a failure of the program on valid input; any other error is the input's
+_RUNTIME_ERRORS = (ProbeLeak, BudgetInfeasible, ProtectedTokenEviction, UnknownToken,
+                   BudgetExceedsStep)
 
 _SWEEP_POLICIES = [FULL_KV_NAME] + [kind.value for kind in PolicyKind]
 
@@ -94,16 +78,11 @@ class ReportRow:
 
     @classmethod
     def from_record(cls, record: RunRecord) -> "ReportRow":
-        budget = record.budget or {}
-        if budget.get("mode") == "ratio":
-            label = f"ratio={budget['ratio']}"
-        elif budget.get("mode") == "periodic":
-            label = f"k={budget['k']}"
-        else:
-            label = "-"
+        budget = record.budget
         return cls(
             policy=record.policy,
-            budget=label,
+            budget="-" if budget is None else f"ratio={budget['ratio']}"
+            if budget["mode"] == "ratio" else f"k={budget['k']}",
             avg_kv=record.avg_kv,
             peak_kv=record.peak_kv,
             evicted_total=record.evicted_total,
@@ -135,9 +114,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 
 
 def _load_marker_set(args):
-    if getattr(args, "markers", None):
-        return load_markers(args.markers)
-    return default_marker_set()
+    return load(args.markers, markers_from_dict) if args.markers else default_marker_set()
 
 
 def _require_equal_step_sizes(seg, scores: ScoreTensor) -> None:
@@ -161,10 +138,8 @@ def _find_reason_end(trace) -> int | None:
 def _score_trace_against_dump(trace, dump) -> ScoreTensor:
     row_len = dump.rows.shape[2]
     if row_len < len(trace.tokens):
-        raise InputFormatError(
-            f'dump field "rows" covers {row_len} positions but the trace has '
-            f"{len(trace.tokens)} tokens"
-        )
+        raise InputFormatError(f'dump field "rows" covers {row_len} positions but the trace '
+                               f"has {len(trace.tokens)} tokens")
     return extract_token_scores(dump.rows, trace, np.ones(dump.rows.shape, dtype=bool),
                                 reason_end=_find_reason_end(trace))
 
@@ -173,7 +148,7 @@ def _score_trace_against_dump(trace, dump) -> ScoreTensor:
 
 
 def cmd_segment(args) -> int:
-    trace = load_trace(args.trace)
+    trace = load(args.trace, trace_from_dict)
     markers = _load_marker_set(args)
     seg = segment(trace, markers)
     payload = segmentation_to_dict(seg)
@@ -185,8 +160,8 @@ def cmd_segment(args) -> int:
 
 
 def cmd_score(args) -> int:
-    trace = load_trace(args.trace)
-    dump = load_attention_dump(args.dump)
+    trace = load(args.trace, trace_from_dict)
+    dump = load(args.dump, dump_from_dict)
     markers = _load_marker_set(args)
     scores = _score_trace_against_dump(trace, dump)
     seg = segment(trace, markers)
@@ -204,15 +179,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    trace = load_trace(args.trace)
+    trace = load(args.trace, trace_from_dict)
     markers = _load_marker_set(args)
     policy = PolicyKind(args.policy)
     seq_len = len(trace.tokens)
     if args.scores or args.dump:
-        if args.scores:
-            scores = load_scores(args.scores)
-        else:
-            scores = _score_trace_against_dump(trace, load_attention_dump(args.dump))
+        scores = (load(args.scores, scores_from_dict, seq_len) if args.scores
+                  else _score_trace_against_dump(trace, load(args.dump, dump_from_dict)))
         live = scores.scored
     elif policy in (PolicyKind.HIERARCHICAL, PolicyKind.H2O):
         raise InputFormatError(f'policy "{policy.value}" needs --scores or --dump')
@@ -239,7 +212,8 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_cell(policy_name: str, args, budget) -> RunRecord:
+def _cell_configs(policy_name: str, args, budget) -> tuple[TinyModelConfig, DecodeConfig]:
+    """One cell's model and decode configs: a malformed option raises here."""
     config = TinyModelConfig(
         vocab_size=args.vocab,
         num_layers=args.layers,
@@ -264,7 +238,7 @@ def _run_cell(policy_name: str, args, budget) -> RunRecord:
         recent_window=args.recent,
         keep_dumps=args.keep_dumps,
     )
-    return run(config, args.prompt, decode)
+    return config, decode
 
 
 def cmd_run(args) -> int:
@@ -289,7 +263,8 @@ def cmd_run(args) -> int:
     if args.ratio is not None:
         # The cap is resolved against the measured full-cache average, so the
         # full cell always runs first.
-        full_record = _run_cell(FULL_KV_NAME, args, None)
+        model, decode = _cell_configs(FULL_KV_NAME, args, None)
+        full_record = run(model, args.prompt, decode)
         records[FULL_KV_NAME] = full_record
         nonprompt = [row[3] for row in full_record.occupancy] or [1.0]
         full_avg = sum(nonprompt) / len(nonprompt)
@@ -305,9 +280,10 @@ def cmd_run(args) -> int:
         )
         if name != FULL_KV_NAME and budget is None:
             raise InputFormatError("pruning policies need --budget K or --ratio R")
+        model, decode = _cell_configs(name, args, budget)
         try:
-            records[name] = _run_cell(name, args, budget)
-        except _INPUT_ERRORS:
+            records[name] = run(model, args.prompt, decode)
+        except SequenceTooLong:
             raise
         except (PruneError, ValueError) as exc:
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
@@ -358,14 +334,7 @@ def _first_evicted_step(probe) -> int | None:
 def cmd_report(args) -> int:
     if not args.records:
         raise InputFormatError("report needs at least one run record")
-    records = []
-    for path in args.records:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            records.append(RunRecord.from_dict(data))
-        except (TypeError, AttributeError, ValueError, InputFormatError) as exc:
-            raise InputFormatError(f"{path} is not a run record: {exc}") from exc
+    records = [load(path, RunRecord.from_dict) for path in args.records]
     out = _out_dir(args) or Path("thinkprune_out")
     out.mkdir(parents=True, exist_ok=True)
 
@@ -394,12 +363,11 @@ def cmd_report(args) -> int:
         for step, avg_live, max_live, nonprompt_live in record.occupancy.tolist():
             occupancy_rows.append([record.policy, str(step), str(avg_live),
                                    str(max_live), str(nonprompt_live)])
-        rounds = [probe for probe in record.probe_records]
-        if rounds:
+        if record.probe_records:
             lines += ["", "### Pruning rounds", "",
                       "| round | reasoning tokens | ran probe | first evicted step | evicted |",
                       "|---|---|---|---|---|"]
-            for probe in rounds:
+            for probe in record.probe_records:
                 first = _first_evicted_step(probe)
                 lines.append(
                     f"| {probe.round_index} | {probe.reasoning_tokens} | {probe.ran_probe} "
@@ -501,15 +469,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _RUNTIME_ERRORS as exc:
+    except (PruneError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except _INPUT_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (PruneError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_RUNTIME if isinstance(exc, _RUNTIME_ERRORS) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ so decoding continues on the pruned sequence alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from time import perf_counter
@@ -16,7 +17,7 @@ from time import perf_counter
 import numpy as np
 
 from .cache import CacheBudget, KvCacheState, ProtectedRegions, enforce_budget
-from .errors import InputFormatError, ProbeLeak, SequenceTooLong
+from .errors import ProbeLeak, SequenceTooLong
 from .model import (
     EOS_ID,
     THINK_END_ID,
@@ -51,8 +52,8 @@ from .scoring import (
     StepScores,
     aggregate_step_scores,
     extract_token_scores,
-    score_pairs,
 )
+from .schema import PROBE_RECORD, RUN_RECORD, check
 from .trace import ReasoningTrace, Segmentation, Token, default_marker_set, segment
 
 FULL_KV_NAME = "full"
@@ -84,8 +85,9 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
-        if not self.greedy and self.temperature <= 0:
-            raise ValueError("temperature must be > 0 unless decoding greedily")
+        if not math.isfinite(self.temperature) or not self.greedy and self.temperature <= 0:
+            raise ValueError(f"temperature must be finite, and > 0 unless decoding greedily; "
+                             f"got {self.temperature}")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.recent_window < 0:
@@ -134,12 +136,10 @@ class ProbeRecord:
         # shallow: dataclasses.asdict would deep-copy every list
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.scores is not None:
-            # [[layer, head, [[token, score], ...]], ...]
             data["scores"] = [[layer, head, [list(pair) for pair in pairs]]
                               for layer, head, pairs in self.scores]
         for name in ("step_scores", "allocation"):
             if data[name] is not None:
-                # [[layer, [[step, value], ...]], ...]
                 data[name] = [[layer, [list(entry) for entry in entries if entry[0] >= 0]]
                               for layer, entries in enumerate(data[name].tolist())]
         if self.evicted is not None:
@@ -152,36 +152,29 @@ class ProbeRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProbeRecord":
-        # records written before the field was retired still carry it
+        """A round checked by schema.PROBE_RECORD (and by RunRecord.from_dict against its run)."""
+        return cls._checked(data, check(data, PROBE_RECORD, "probe record"))
+
+    @classmethod
+    def _checked(cls, data: dict, dims: dict) -> "ProbeRecord":
+        """A checked round; its scores take the layers and heads of dims, or of its entries."""
         data = {key: value for key, value in data.items() if key != "scores_digest"}
         if data.get("scores") is not None:
-            heads = {}
-            for layer, head, pairs in data["scores"]:
-                where = f'probe record field "scores" ({layer}, {head})'
-                if (layer, head) in heads:
-                    raise InputFormatError(f"{where} is listed twice")
-                heads[(layer, head)] = score_pairs(pairs, where)
-            data["scores"] = ScoreTensor(1 + max((layer for layer, _head in heads), default=-1),
-                                         1 + max((head for _layer, head in heads), default=-1),
-                                         heads)
+            shape = [dims.get(name, 1 + max((entry[axis] for entry in data["scores"]), default=-1))
+                     for axis, name in enumerate(("layers", "heads"))]
+            data["scores"] = ScoreTensor(*shape, {(layer, head): dict(pairs)
+                                                  for layer, head, pairs in data["scores"]})
         for name, dtype in (("step_scores", STEP_SCORE), ("allocation", STEP_EVICTIONS)):
             if data.get(name) is not None:
                 data[name] = _layer_rows([[tuple(entry) for entry in entries]
-                                          for entries in _by_layer(data[name])], dtype)
+                                          for _layer, entries in data[name]], dtype)
         if data.get("evicted") is not None:
             data["evicted"] = [[layer, [tuple(tokens) for tokens in heads]]
                                for layer, heads in data["evicted"]]
         if data.get("plan_sizes") is not None:
-            data["plan_sizes"] = np.array(_by_layer(data["plan_sizes"]), dtype=np.intp)
+            data["plan_sizes"] = np.array([counts for _layer, counts in data["plan_sizes"]],
+                                          dtype=np.intp)
         return cls(**data)
-
-
-def _by_layer(entries: list) -> list:
-    """The parts of [[layer, part], ...], which must list layers 0, 1, ... in order."""
-    layers = [layer for layer, _part in entries]
-    if layers != list(range(len(layers))):
-        raise ValueError(f"per-layer entries list layers {layers}, not 0 to {len(layers) - 1}")
-    return [part for _layer, part in entries]
 
 
 def _layer_rows(by_layer: list, dtype: np.dtype) -> np.ndarray:
@@ -231,13 +224,12 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
-        data = dict(data)
-        data["probe_records"] = [ProbeRecord.from_dict(r) for r in data.get("probe_records", [])]
-        if "occupancy" in data:
-            data["occupancy"] = np.array([tuple(row) for row in data["occupancy"]],
-                                         dtype=OCCUPANCY)
-        data.setdefault("timings_ms", {})
-        return cls(**data)
+        """A run from its JSON form, checked by schema.RUN_RECORD."""
+        dims = check(data, RUN_RECORD, "run record")
+        return cls(**dict(data, probe_records=[ProbeRecord._checked(record, dims)
+                                               for record in data["probe_records"]],
+                          occupancy=np.array([tuple(row) for row in data["occupancy"]],
+                                             dtype=OCCUPANCY)))
 
 
 def decode_step(state: KvCacheState, model: TinyDecoder, token_id: int, position: int) -> StepOutput:
@@ -401,7 +393,11 @@ def probe_cycle(
 def _sample_token(logits: np.ndarray, config: DecodeConfig, rng: np.random.Generator) -> int:
     if config.greedy:
         return int(np.argmax(logits))
-    z = logits / config.temperature
+    with np.errstate(over="ignore"):
+        z = logits / config.temperature
+    if not np.isfinite(z).all():
+        # a temperature so small that the logits overflow: its limit, the argmax
+        return int(np.argmax(logits))
     z = z - z.max()
     probs = np.exp(z)
     probs /= probs.sum()
@@ -537,17 +533,13 @@ def run(
         avg_kv = sum(row[1] for row in occupancy) / len(occupancy)
         peak_kv = max(row[2] for row in occupancy)
 
+    budget_info = None
     if ratio_budget is not None:
-        budget_info = {
-            "mode": "ratio",
-            "ratio": ratio_budget.ratio,
-            "max_slots": ratio_budget.max_slots,
-            "recent_window": ratio_budget.recent_window,
-        }
+        budget_info = {"mode": "ratio", "ratio": ratio_budget.ratio,
+                       "max_slots": ratio_budget.max_slots,
+                       "recent_window": ratio_budget.recent_window}
     elif periodic_budget is not None:
         budget_info = {"mode": "periodic", "k": periodic_budget.k}
-    else:
-        budget_info = None
 
     return RunRecord(
         model=cfg.to_dict(),

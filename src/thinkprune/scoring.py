@@ -8,15 +8,14 @@ over a step's live tokens and all heads of a layer.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import InputFormatError, NonNormalizedRow
+from .errors import NonNormalizedRow
+from .schema import DUMP, SCORES, check
 from .trace import ReasoningTrace, Segmentation
 
 THINK_END_TEXT = "</think>"
@@ -257,14 +256,6 @@ def ranked_step_order(step_scores: StepScores, layer: int) -> list[tuple[int, fl
     return sorted(step_scores.layer_entries(layer), key=lambda entry: (entry[1], entry[0]))
 
 
-# --- file formats -----------------------------------------------------------
-#
-# Attention dump (JSON): {"layers": L, "heads": H, "probe_position": int,
-#   "rows": [[[w_0, ..., w_{T-1}], ... per head], ... per layer]}
-# Score tensor (JSON):   {"layers": L, "heads": H,
-#   "scores": [[[[token, s], ...] per head], ... per layer]}
-
-
 @dataclass(frozen=True)
 class AttentionDump:
     """Dense attention rows of a probe's trigger position, shape (layers, heads, keys)."""
@@ -274,102 +265,25 @@ class AttentionDump:
 
 
 def dump_from_dict(data: object) -> AttentionDump:
-    if not isinstance(data, dict):
-        raise InputFormatError("dump document must be a JSON object")
-    layers = data.get("layers")
-    heads = data.get("heads")
-    probe_position = data.get("probe_position")
-    rows = data.get("rows")
-    for name, value in (("layers", layers), ("heads", heads), ("probe_position", probe_position)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InputFormatError(f'dump field "{name}" must be a non-negative integer')
-    if layers < 1 or heads < 1:
-        raise InputFormatError('dump fields "layers" and "heads" must be >= 1')
-    if not isinstance(rows, list) or len(rows) != layers:
-        raise InputFormatError(f'dump field "rows" must be a list of {layers} layer entries')
-    row_len: int | None = None
-    for li, layer_rows in enumerate(rows):
-        if not isinstance(layer_rows, list) or len(layer_rows) != heads:
-            raise InputFormatError(f'dump field "rows[{li}]" must be a list of {heads} head rows')
-        for hi, head_row in enumerate(layer_rows):
-            if not isinstance(head_row, list) or not all(
-                isinstance(w, (int, float)) and not isinstance(w, bool) for w in head_row
-            ):
-                raise InputFormatError(f'dump field "rows[{li}][{hi}]" must be a list of numbers')
-            if row_len is None:
-                row_len = len(head_row)
-            elif len(head_row) != row_len:
-                raise InputFormatError(
-                    f'dump field "rows[{li}][{hi}]" has length {len(head_row)}, expected {row_len}'
-                )
-    if row_len is None or row_len == 0:
-        raise InputFormatError('dump field "rows" must contain non-empty rows')
-    if probe_position >= row_len:
-        raise InputFormatError('dump field "probe_position" must be smaller than the row length')
-    return AttentionDump(probe_position, np.array(rows, dtype=float))
-
-
-def load_attention_dump(path: str | Path) -> AttentionDump:
-    with open(path, encoding="utf-8") as fh:
-        return dump_from_dict(json.load(fh))
+    """An attention dump from its JSON form, checked by schema.DUMP."""
+    check(data, DUMP, "dump")
+    return AttentionDump(data["probe_position"], np.array(data["rows"], dtype=float))
 
 
 def scores_to_dict(tensor: ScoreTensor) -> dict:
-    return {
-        "layers": tensor.num_layers,
-        "heads": tensor.num_heads,
-        "scores": [
-            [
-                [[token, value] for token, value in sorted(tensor.head_scores(layer, head).items())]
-                for head in range(tensor.num_heads)
-            ]
-            for layer in range(tensor.num_layers)
-        ],
-    }
+    heads = [[list(pair) for pair in pairs] for _layer, _head, pairs in tensor]
+    return {"layers": tensor.num_layers, "heads": tensor.num_heads,
+            "scores": [heads[start:start + tensor.num_heads]
+                       for start in range(0, len(heads), tensor.num_heads)]}
 
 
-def scores_from_dict(data: object) -> ScoreTensor:
-    if not isinstance(data, dict):
-        raise InputFormatError("scores document must be a JSON object")
-    layers = data.get("layers")
-    heads = data.get("heads")
-    entries = data.get("scores")
-    if not isinstance(layers, int) or not isinstance(heads, int):
-        raise InputFormatError('scores fields "layers" and "heads" must be integers')
-    if not isinstance(entries, list) or len(entries) != layers:
-        raise InputFormatError(f'scores field "scores" must be a list of {layers} layer entries')
-    scores: dict[tuple[int, int], dict[int, float]] = {}
-    for layer, layer_entries in enumerate(entries):
-        if not isinstance(layer_entries, list) or len(layer_entries) != heads:
-            raise InputFormatError(f'scores field "scores[{layer}]" must list {heads} heads')
-        for head, pairs in enumerate(layer_entries):
-            scores[(layer, head)] = score_pairs(pairs, f'scores field "scores[{layer}][{head}]"')
-    return ScoreTensor(layers, heads, scores)
-
-
-def score_pairs(pairs: object, where: str) -> dict[int, float]:
-    """{token: score} of one head's JSON [[token, score], ...] list, or
-    InputFormatError naming where for a malformed pair or a repeated token."""
-    if not isinstance(pairs, list):
-        raise InputFormatError(f"{where} must be a list of [token, score] pairs")
-    head_scores: dict[int, float] = {}
-    for pair in pairs:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputFormatError(f"{where} has {pair!r}, not a [token, score] pair")
-        token, score = pair
-        if not isinstance(token, int) or isinstance(token, bool):
-            raise InputFormatError(f"{where} has token {token!r}, not an integer")
-        if token in head_scores:
-            raise InputFormatError(f"{where} lists token {token} twice")
-        if not isinstance(score, (int, float)) or isinstance(score, bool):
-            raise InputFormatError(f"{where} has score {score!r}, not a number")
-        head_scores[token] = float(score)
-    return head_scores
-
-
-def load_scores(path: str | Path) -> ScoreTensor:
-    with open(path, encoding="utf-8") as fh:
-        return scores_from_dict(json.load(fh))
+def scores_from_dict(data: object, num_tokens: int) -> ScoreTensor:
+    """A score tensor from its JSON form, checked by schema.SCORES against
+    num_tokens, the length of the trace it scores."""
+    check(data, SCORES, "scores", tokens=num_tokens)
+    return ScoreTensor(data["layers"], data["heads"],
+                       {(layer, head): dict(pairs) for layer, heads in enumerate(data["scores"])
+                        for head, pairs in enumerate(heads)})
 
 
 def format_step_table(step_scores: StepScores, seg: Segmentation) -> str:

@@ -9,17 +9,16 @@ word boundary.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyReasoningRegion, InputFormatError, OffsetOutOfRange
+from .errors import EmptyReasoningRegion, OffsetOutOfRange
+from .schema import MARKERS, TRACE, check
 
 # Reflection/sequencing markers that open a new reasoning step. Order is
 # meaningful (first occurrence wins on duplicates) and several phrases use
@@ -287,67 +286,24 @@ def segment(trace: ReasoningTrace, markers: MarkerSet) -> Segmentation:
     return Segmentation(tuple(steps), n)
 
 
-# --- file formats -----------------------------------------------------------
-#
-# Trace file (JSON, UTF-8): {"prompt_len": int, "tokens": [{"id": int, "text": str}, ...]}
-# Segmentation file:        {"steps": [{"start": int, "end": int, "marker": str|null}, ...]}
-# Marker file:              JSON array of phrase strings.
-
-
 def trace_from_dict(data: object) -> ReasoningTrace:
-    if not isinstance(data, dict):
-        raise InputFormatError("trace document must be a JSON object")
-    prompt_len = data.get("prompt_len")
-    if not isinstance(prompt_len, int) or isinstance(prompt_len, bool) or prompt_len < 0:
-        raise InputFormatError('trace field "prompt_len" must be a non-negative integer')
-    raw_tokens = data.get("tokens")
-    if not isinstance(raw_tokens, list):
-        raise InputFormatError('trace field "tokens" must be a list')
-    tokens: list[Token] = []
-    for i, item in enumerate(raw_tokens):
-        if not isinstance(item, dict):
-            raise InputFormatError(f'trace field "tokens[{i}]" must be an object')
-        tid = item.get("id")
-        if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
-            raise InputFormatError(f'trace field "tokens[{i}].id" must be a non-negative integer')
-        text = item.get("text")
-        if not isinstance(text, str):
-            raise InputFormatError(f'trace field "tokens[{i}].text" must be a string')
-        tokens.append(Token(i, tid, text))
-    if prompt_len > len(tokens):
-        raise InputFormatError('trace field "prompt_len" exceeds the number of tokens')
-    return ReasoningTrace(tuple(tokens), prompt_len)
+    """A trace from its JSON form, checked by schema.TRACE."""
+    check(data, TRACE, "trace")
+    return ReasoningTrace(tuple(Token(i, tok["id"], tok["text"])
+                                for i, tok in enumerate(data["tokens"])), data["prompt_len"])
 
 
 def trace_to_dict(trace: ReasoningTrace) -> dict:
-    return {
-        "prompt_len": trace.prompt_len,
-        "tokens": [{"id": tok.id, "text": tok.text} for tok in trace.tokens],
-    }
-
-
-def load_trace(path: str | Path) -> ReasoningTrace:
-    with open(path, encoding="utf-8") as fh:
-        return trace_from_dict(json.load(fh))
+    return {"prompt_len": trace.prompt_len,
+            "tokens": [{"id": tok.id, "text": tok.text} for tok in trace.tokens]}
 
 
 def markers_from_dict(data: object) -> MarkerSet:
-    if not isinstance(data, list) or not all(isinstance(p, str) for p in data):
-        raise InputFormatError("marker document must be a JSON array of strings")
-    if not data or any(not p for p in data):
-        raise InputFormatError("marker document must contain non-empty phrases")
+    """A marker set from its JSON form, checked by schema.MARKERS."""
+    check(data, MARKERS, "markers")
     return MarkerSet(tuple(data))
 
 
-def load_markers(path: str | Path) -> MarkerSet:
-    with open(path, encoding="utf-8") as fh:
-        return markers_from_dict(json.load(fh))
-
-
 def segmentation_to_dict(seg: Segmentation) -> dict:
-    return {
-        "steps": [
-            {"start": step.start, "end": step.end, "marker": step.marker}
-            for step in seg.steps
-        ]
-    }
+    return {"steps": [{"start": step.start, "end": step.end, "marker": step.marker}
+                      for step in seg.steps]}

@@ -207,6 +207,17 @@ class CacheMachine(RuleBasedStateMachine):
         assert live_counts.max() == max(counts.values())
 
 
+@pytest.mark.parametrize("token", [0, -1, 2])
+def test_plan_on_a_cache_no_token_joined_is_unknown(token):
+    # an explicit example of a case the machine can draw (prefill 0 and an
+    # invalid plan) but its derandomized examples miss: a new cache has no slots
+    machine = CacheMachine()
+    machine.setup(num_layers=1, num_heads=1, head_dim=2, prompt_len=0, recent_window=0, prefill=0)
+    plan = EvictionPlan(1, 1, {(0, 0): [token]})
+    expect_rejection(UnknownToken, lambda: machine.cache.apply_plan(plan))
+    machine.matches_model()
+
+
 CacheMachine.TestCase.settings = settings(
     derandomize=True, deadline=None, max_examples=60, stateful_step_count=40,
 )

@@ -185,16 +185,23 @@ class TestPlanCommand:
         assert "layer 0 step 0: heads score [5, 1] tokens" in err
 
     @pytest.mark.parametrize("pairs, message", [
-        ([[2.7, 0.5]], "has token 2.7, not an integer"),
-        ([[True, 0.5]], "has token True, not an integer"),
-        ([["5", 0.5]], "has token '5', not an integer"),
-        ([[4, 0.5], [4, 0.25]], "lists token 4 twice"),
-        ([[4, True]], "has score True, not a number"),
-        ([[4, "0.5"]], "has score '0.5', not a number"),
-        ([[4, 0.5, 1]], "has [4, 0.5, 1], not a [token, score] pair"),
-    ])
+        ([[2.7, 0.5]], '[0][0]" must be an integer >= 0, got 2.7'),
+        ([[True, 0.5]], '[0][0]" must be an integer >= 0, got true'),
+        ([["5", 0.5]], '[0][0]" must be an integer >= 0, got "5"'),
+        ([[4, 0.5], [4, 0.25]], '[1]" repeats entry [0]'),
+        ([[4, True]], '[0][1]" must be a finite number >= 0, got true'),
+        ([[4, "0.5"]], '[0][1]" must be a finite number >= 0, got "0.5"'),
+        ([[4, 0.5, 1]], '[0]" must be a list of 2, got [4, 0.5, 1]'),
+        ([[16, 0.5]], '[0][0]" must be below 16 (tokens), got 16'),
+        ([[10**7, 0.5]], '[0][0]" must be below 16 (tokens), got 10000000'),
+    ], ids=["pairs0-has token 2.7, not an integer", "pairs1-has token True, not an integer",
+            "pairs2-has token '5', not an integer", "pairs3-lists token 4 twice",
+            "pairs4-has score True, not a number", "pairs5-has score '0.5', not a number",
+            "pairs6-has [4, 0.5, 1], not a [token, score] pair",
+            "pairs7-has token 16, the trace's length", "pairs8-has token 10**7, past the trace"])
     def test_malformed_score_pair_exits_2(self, trace_file, tmp_path, capsys, pairs, message):
-        # each pair is taken as written: nothing is coerced and no token is overwritten
+        # each pair is taken as written: nothing is coerced and no token is overwritten, and
+        # every token lies inside the 16-token trace
         path = tmp_path / "scores.json"
         path.write_text(json.dumps({"layers": 1, "heads": 2, "scores": [[[[1, 0.5]], pairs]]}),
                         encoding="utf-8")
@@ -202,7 +209,7 @@ class TestPlanCommand:
                      "--policy", "h2o", "--budget", "1"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "InputFormatError" in err
-        assert f'"scores[0][1]" {message}' in err
+        assert f'"scores[0][1]{message}' in err
 
     def test_ours_without_scores_exits_2(self, trace_file, capsys):
         assert main(["plan", "--trace", str(trace_file), "--policy", "ours",
@@ -261,6 +268,14 @@ class TestRunCommand:
         assert main(["run", "--policy", "ours", "--ratio", "0.5", "--recent", "6",
                      "--max-new", "8", "--out", str(out)]) == EXIT_INPUT
         assert "--recent" in capsys.readouterr().err
+        assert not (out / "run_full.json").exists()
+
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_non_finite_temperature_exits_2_before_any_cell(self, tmp_path, capsys, temperature):
+        out = tmp_path / "x"
+        assert main(["run", "--policy", "full,ours", "--budget", "2", "--sample",
+                     "--temperature", temperature, "--max-new", "8", "--out", str(out)]) == EXIT_INPUT
+        assert "temperature must be finite" in capsys.readouterr().err
         assert not (out / "run_full.json").exists()
 
     def test_pruning_without_budget_exits_2(self, tmp_path, capsys):
@@ -336,13 +351,28 @@ class TestReportCommand:
     def test_empty_input_exits_2(self, capsys):
         assert main(["report"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("document", [{}, [1, 2]], ids=["empty-object", "list"])
-    def test_malformed_record_exits_2_naming_the_file(self, tmp_path, capsys, document):
+    @pytest.mark.parametrize("document, message", [
+        ({}, '"model" is missing'),
+        ([1, 2], "document must be an object"),
+        (lambda data: data["final_stats"].update(avg_kv=None),
+         '"final_stats.avg_kv" must be a finite number >= 0, got null'),
+        (lambda data: data.update(generated_ids="abc"), '"generated_ids" must be a list'),
+        (lambda data: data["probe_records"][0]["evicted"][0].__setitem__(0, 7),
+         r'"probe_records\[0\].evicted\[0\]\[0\]" must be layer 0, got 7'),
+    ], ids=["empty-object", "list", "null-avg-kv", "string-ids", "evicted-layer-7"])
+    def test_malformed_record_exits_2_naming_the_file(self, tmp_path, capsys, document, message):
+        # a valid record edited in one field: each used to exit 0, or fail with a traceback
+        if callable(document):
+            path, _record = self._record_file(tmp_path)
+            data = json.loads(path.read_text())
+            document(data)
+            document = data
         path = tmp_path / "bad_record.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "InputFormatError" in err and str(path) in err
+        assert re.search(message, err)
 
     def test_record_with_retired_digest_field_still_loads(self, tmp_path):
         path, _record = self._record_file(tmp_path)
@@ -362,22 +392,31 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "InputFormatError" in err and str(path) in err
 
-    @pytest.mark.parametrize("pairs, message", [
-        (None, r"\(0, 0\) is listed twice"),
-        ([[2, 0.5], [2, 0.25]], "lists token 2 twice"),
-        ([[True, 0.5]], "token True, not an integer"),
-        ([[1.9, 0.5]], "token 1.9, not an integer"),
-    ], ids=["repeated-head", "repeated-token", "bool-token", "float-token"])
-    def test_record_with_altered_scores_exits_2(self, tmp_path, capsys, pairs, message):
+    @pytest.mark.parametrize("entry, message", [
+        (None, r'scores\[4\]" repeats entry \[0\]'),
+        ([0, 0, [[2, 0.5], [2, 0.25]]], r'scores\[0\]\[2\]\[1\]" repeats entry \[0\]'),
+        ([0, 0, [[True, 0.5]]], r'scores\[0\]\[2\]\[0\]\[0\]" must be an integer >= 0, got true'),
+        ([0, 0, [[1.9, 0.5]]], r'scores\[0\]\[2\]\[0\]\[0\]" must be an integer >= 0, got 1.9'),
+        ([True, 0, []], r'scores\[0\]\[0\]" must be an integer >= 0, got true'),
+        ([0, True, []], r'scores\[0\]\[1\]" must be an integer >= 0, got true'),
+        ([0, 1000000, []], r'scores\[0\]\[1\]" must be below 2 \(heads\), got 1000000'),
+        ([0, 0, [[13, 0.5]]],
+         r'scores\[0\]\[2\]\[0\]\[0\]" must be below 13 \(prompt_len \+ reasoning_tokens\)'),
+    ], ids=["repeated-head", "repeated-token", "bool-token", "float-token", "bool-layer",
+            "bool-head", "huge-head", "token-past-round"])
+    def test_record_with_altered_scores_exits_2(self, tmp_path, capsys, entry, message):
         # each used to load: a repeated head or token kept only its last
-        # entry, and a bool token became token 1
+        # entry, a bool token became token 1 and a bool layer indexed by mask,
+        # and a huge head or token sized the score tensor from it. The first
+        # scored round has 2 heads over 5 prompt and 8 reasoning tokens.
         path, _record = self._record_file(tmp_path)
         data = json.loads(path.read_text())
         probe = next(p for p in data["probe_records"] if p["scores"])
-        if pairs is None:
+        assert (probe["round_index"], probe["reasoning_tokens"], data["prompt_len"]) == (0, 8, 5)
+        if entry is None:
             probe["scores"].append(probe["scores"][0])
         else:
-            probe["scores"][0][2] = pairs
+            probe["scores"][0] = entry
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == EXIT_INPUT
         err = capsys.readouterr().err

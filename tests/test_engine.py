@@ -19,7 +19,7 @@ from thinkprune.engine import (
     requery_logits,
     run,
 )
-from thinkprune.errors import ProbeLeak, ProtectedTokenEviction, SequenceTooLong
+from thinkprune.errors import InputFormatError, ProbeLeak, ProtectedTokenEviction, SequenceTooLong
 from thinkprune.model import EOS_ID, THINK_END_ID, TinyDecoder, TinyModelConfig, tokenize
 from thinkprune.policy import (
     EvictionBudget,
@@ -58,8 +58,18 @@ class TestDecodeConfig:
             make_config(policy=PolicyKind.HIERARCHICAL, budget=None)
 
     def test_sampling_needs_positive_temperature(self):
-        with pytest.raises(ValueError):
-            make_config(greedy=False, temperature=0.0)
+        # a non-finite temperature is rejected whether or not it is read
+        for greedy, temperature in ((False, 0.0), (False, float("nan")), (False, float("inf")),
+                                    (True, float("nan"))):
+            with pytest.raises(ValueError):
+                make_config(greedy=greedy, temperature=temperature)
+
+    def test_temperature_too_small_to_divide_by_samples_the_argmax(self):
+        # logits / 1e-310 overflow to inf; the sampled step takes its limit, the argmax
+        cfg = TinyModelConfig(rng_seed=4)
+        greedy = run(cfg, PROMPT, make_config(max_new=12))
+        tiny = run(cfg, PROMPT, make_config(max_new=12, greedy=False, temperature=1e-310))
+        assert tiny.generated_ids == greedy.generated_ids
 
     def test_recent_window_with_cache_budget_rejected(self):
         # a CacheBudget carries its own recent window; a second one was ignored
@@ -927,7 +937,7 @@ class TestRunRecord:
         from thinkprune.engine import ProbeRecord
 
         entries = {"step_scores": [[0, 0.5]], "allocation": [[1, 1]], "plan_sizes": [1]}[field]
-        with pytest.raises(ValueError, match=r"list layers \[1, 0\]"):
+        with pytest.raises(InputFormatError, match=rf'"{field}\[0\]\[0\]" must be layer 0, got 1'):
             ProbeRecord.from_dict({"round_index": 0, "reasoning_tokens": 1,
                                    field: [[1, entries], [0, entries]]})
 

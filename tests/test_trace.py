@@ -15,6 +15,7 @@ from reference import bruteforce_marker_matches, segment_oracle
 from conftest import FILLER_WORDS, MARKER_SAMPLE, chunk_randomly, make_trace
 
 from thinkprune.errors import EmptyReasoningRegion, InputFormatError, OffsetOutOfRange
+from thinkprune.schema import load
 from thinkprune.trace import (
     DEFAULT_MARKER_PHRASES,
     MarkerSet,
@@ -22,7 +23,6 @@ from thinkprune.trace import (
     Token,
     _scan_marker_occurrences,
     default_marker_set,
-    load_trace,
     markers_from_dict,
     segment,
     trace_from_dict,
@@ -300,7 +300,7 @@ class TestTraceFiles:
         trace = make_trace(["Q:", "So", " it", " is"], 1)
         path = tmp_path / "trace.json"
         path.write_text(json.dumps(trace_to_dict(trace)), encoding="utf-8")
-        assert load_trace(path) == trace
+        assert load(path, trace_from_dict) == trace
 
     def test_missing_prompt_len_named(self):
         with pytest.raises(InputFormatError, match="prompt_len"):
